@@ -11,6 +11,10 @@ functions (or plain exponential survival terms) rather than as the textbook
 single-expression forms, which cancel badly at large rate*x.  The textbook
 forms are retained in the test suite as independent cross-checks.
 
+``sample`` never inverts a CDF numerically: every law is a gamma variate,
+possibly mixed, powered, shifted or truncated, and each family draws from
+its exact generator (see :func:`sample`).
+
 ``pdf``, ``cdf``, ``sf`` and ``hazard`` accept a scalar or an array and
 return the matching shape.  Moment helpers are scalar.  All operations are
 pure; :class:`DistributionSpec` is immutable, and ``sample`` takes an
@@ -25,10 +29,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy import special
 
 from . import specfun
 from .errors import (
-    ConvergenceError,
     DomainError,
     FamilyError,
     ParameterError,
@@ -742,51 +746,98 @@ def mode(spec: DistributionSpec) -> ModeResult:
 # sampling
 # --------------------------------------------------------------------------
 
-def _invert_cdf(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
-    """Inverse CDF by bisection on the shipped (validated) CDF."""
-    sup = support(spec)
-    if math.isfinite(sup.upper):
-        lo = np.full(u.shape, sup.lower)
-        hi = np.full(u.shape, sup.upper)
-    else:
-        lo = np.zeros(u.shape)
-        hi = np.ones(u.shape)
-        # double the bracket until F(hi) exceeds every target quantile
-        for _ in range(1100):
-            need = cdf(spec, hi) <= u
-            if not np.any(need):
-                break
-            hi[need] *= 2.0
-        else:
-            raise ConvergenceError("inverse-CDF bracket expansion failed")
-    converged = False
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        below = cdf(spec, mid) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if float(np.max(hi - lo)) <= 1e-12 * max(1.0, float(np.max(hi))):
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceError("inverse-CDF bisection did not converge in 200 iterations")
-    return 0.5 * (lo + hi)
+def _gamma_mixture(rng, n, w, shape1, shape2, scale):
+    """Gamma(shape1, scale) with probability w, else Gamma(shape2, scale)."""
+    pick = rng.uniform(size=n)
+    first = rng.gamma(shape1, scale, size=n)
+    second = rng.gamma(shape2, scale, size=n)
+    return np.where(pick < w, first, second)
+
+
+def _sample_lindley1(rng, n, c):
+    return _gamma_mixture(rng, n, c / (1.0 + c), 1.0, 2.0, 1.0 / c)
+
+
+def _sample_tpld(rng, n, b, c):
+    if b < 0.0:
+        raise DomainError(f"tpld with b < 0 has a signed density and cannot be sampled, got b={b}")
+    return _gamma_mixture(rng, n, b * c / (b * c + 1.0), 1.0, 2.0, 1.0 / c)
+
+
+def _sample_pld(rng, n, b, c):
+    return _sample_lindley1(rng, n, b) ** (1.0 / c)
+
+
+def _sample_gld(rng, n, a, b, c):
+    return _gamma_mixture(rng, n, c / (c + b), a + 1.0, a, 1.0 / b)
+
+
+def _sample_ngld(rng, n, a, b, c):
+    return _gamma_mixture(rng, n, c / (1.0 + c), a, b, 1.0 / c)
+
+
+def _sample_nwl(rng, n, b, c):
+    # (1+x) e^{-cx} (1 - e^{-cbx}) = int_c^{c(1+b)} (x + x^2) e^{-rx} dr, so a draw
+    # is Gamma(2 or 3, rate r) with r mixed over [c, c(1+b)]: shape 2 carries
+    # r-density r^-2 and mass m2, shape 3 carries 2 r^-3 and mass m3.  Both
+    # masses are written without the 1/c - 1/c2 cancellation, for small b.
+    m2 = b / (c * (1.0 + b))
+    m3 = m2 * (2.0 + b) / (c * (1.0 + b))
+    pick = rng.uniform(size=n) < m2 / (m2 + m3)
+    u = rng.uniform(size=n)
+    scale = np.where(pick, 1.0 / c - u * m2, np.sqrt(1.0 / (c * c) - u * m3))
+    return rng.gamma(np.where(pick, 2.0, 3.0), scale)
+
+
+def _sample_dtl(rng, n, c, x_l, x_u):
+    # Past x_l the Lindley density is tpld(1 + x_l, c) in x - x_l; in z = c (x - x_l)
+    # that is an Exp(1) / Gamma(2) mixture, here truncated to [0, zw] and
+    # inverted exactly per component.
+    zw = c * (x_u - x_l)
+    p2 = float(special.gammainc(2.0, zw))
+    w_exp = (1.0 + x_l) * c * -math.expm1(-zw)
+    pick = rng.uniform(size=n) < w_exp / (w_exp + p2)
+    u = rng.uniform(size=n)
+    z = np.empty(n)
+    z[pick] = -np.log1p(u[pick] * math.expm1(-zw))
+    z[~pick] = special.gammaincinv(2.0, u[~pick] * p2)
+    # z / c can round a last bit past the window
+    return np.clip(x_l + z / c, x_l, x_u)
+
+
+def _sample_lognormal(rng, n, m, sigma):
+    return m * np.exp(sigma * rng.standard_normal(n))
+
+
+_SAMPLERS = {
+    Family.LINDLEY1: _sample_lindley1,
+    Family.TPLD: _sample_tpld,
+    Family.PLD: _sample_pld,
+    Family.GLD: _sample_gld,
+    Family.NGLD: _sample_ngld,
+    Family.NWL: _sample_nwl,
+    Family.DTL: _sample_dtl,
+    Family.LOGNORMAL: _sample_lognormal,
+}
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise DomainError(f"sample requires an integer {name} >= {minimum}, got {value!r}")
 
 
 def sample(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws, deterministic for a given seed.
 
-    The one-parameter family uses its exponential/gamma two-component
-    composition; every other family inverts the shipped CDF by bisection.
+    Every family draws directly from numpy's generator seeded with ``seed``:
+    ``lindley1``, ``tpld`` (b >= 0), ``gld`` and ``ngld`` are two-component
+    gamma mixtures; ``pld`` is a power of a ``lindley1`` draw; ``nwl`` is a
+    gamma mixture over its rate; ``dtl`` mixes an exponential and a Gamma(2)
+    each truncated to the window by exact inversion; ``lognormal`` is
+    ``m * exp(sigma * Z)``.  ``n`` must be an integer >= 1 and ``seed`` an
+    integer >= 0 (``bool`` is rejected for both).  ``tpld`` with b < 0 has a
+    signed density and raises :class:`DomainError`.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"sample requires n >= 1, got {n!r}")
-    rng = np.random.default_rng(seed)
-    if spec.family is Family.LINDLEY1:
-        (c,) = spec.params
-        pick = rng.uniform(size=n)
-        exp_draw = rng.exponential(scale=1.0 / c, size=n)
-        gam_draw = rng.gamma(shape=2.0, scale=1.0 / c, size=n)
-        return np.where(pick < c / (1.0 + c), exp_draw, gam_draw)
-    u = rng.uniform(size=n)
-    return _invert_cdf(spec, u)
+    _check_count("n", n, 1)
+    _check_count("seed", seed, 0)
+    return _SAMPLERS[spec.family](np.random.default_rng(seed), int(n), *spec.params)

@@ -5,6 +5,18 @@ from lindleyfit.distributions import Family
 
 ALL_FAMILIES = tuple(Family)
 
+# one representative vector per family, shared by the self-sampling checks
+SELF_SAMPLE_SPECS = {
+    Family.LINDLEY1: lf.lindley1(2.0),
+    Family.TPLD: lf.tpld(0.5, 2.0),
+    Family.PLD: lf.pld(2.66, 2.28),
+    Family.GLD: lf.gld(2.0, 3.0, 0.5),
+    Family.NGLD: lf.ngld(2.0, 3.0, 1.5),
+    Family.NWL: lf.nwl(1.57, 3.77),
+    Family.DTL: lf.dtl(2.71, 0.019, 1.46),
+    Family.LOGNORMAL: lf.lognormal(0.6, 0.9),
+}
+
 
 def random_spec(family, rng, nonneg=False):
     """Draw a valid parameter vector of representative magnitude.

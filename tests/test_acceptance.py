@@ -18,7 +18,7 @@ from scipy import integrate
 
 import lindleyfit as lf
 import reference_forms as ref
-from conftest import ALL_FAMILIES, random_spec
+from conftest import ALL_FAMILIES, SELF_SAMPLE_SPECS, random_spec
 from lindleyfit import estimation as est
 from lindleyfit import gof
 from lindleyfit.distributions import Family
@@ -224,18 +224,6 @@ def test_criterion_4_catalog_reproduction():
     assert rep2.d == pytest.approx(0.061, abs=0.01)
     assert rep2.p_ks == pytest.approx(0.395, abs=0.05)
     print("\nACCEPTANCE 4b PASS: NGC 6611 rows reproduced from the supplied catalog")
-
-
-SELF_SAMPLE_SPECS = {
-    Family.LINDLEY1: lf.lindley1(2.0),
-    Family.TPLD: lf.tpld(0.5, 2.0),
-    Family.PLD: lf.pld(2.66, 2.28),
-    Family.GLD: lf.gld(2.0, 3.0, 0.5),
-    Family.NGLD: lf.ngld(2.0, 3.0, 1.5),
-    Family.NWL: lf.nwl(1.57, 3.77),
-    Family.DTL: lf.dtl(2.71, 0.019, 1.46),
-    Family.LOGNORMAL: lf.lognormal(0.6, 0.9),
-}
 
 
 def test_criterion_5_statistics_battery():

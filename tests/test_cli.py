@@ -54,6 +54,14 @@ class TestSynth:
         assert code == 2
         assert "error" in err
 
+    def test_negative_seed_gives_config_error(self, tmp_path, capsys):
+        code, _, err = run(capsys, "synth", "--family", "lindley1", "--params", "2.0",
+                           "--n", "10", "--seed", "-3", "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_family(self, tmp_path, capsys):
         code, _, err = run(capsys, "synth", "--family", "weibull", "--params", "1.0",
                            "--n", "10", "--seed", "1", "--out", str(tmp_path / "x.csv"))

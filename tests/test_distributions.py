@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 import lindleyfit as lf
 import reference_forms as ref
-from conftest import ALL_FAMILIES, interior_grid, random_spec
+from conftest import ALL_FAMILIES, SELF_SAMPLE_SPECS, interior_grid, random_spec
 from lindleyfit.distributions import Family
 from lindleyfit.errors import (
     DomainError,
@@ -374,9 +374,22 @@ class TestReductions:
             )
 
 
+SAMPLER_EDGE_SPECS = [
+    lf.tpld(0.0, 1.0),
+    lf.tpld(1000.0, 1.0),
+    lf.pld(0.01, 0.3),
+    lf.nwl(1e-9, 2.0),
+    lf.nwl(1e6, 0.5),
+    lf.dtl(2.0, 300.0, 300.5),
+    lf.dtl(2.0, 0.0, 1e-6),
+    lf.dtl(0.01, 0.0, 1e4),
+]
+SAMPLER_SPECS = list(SELF_SAMPLE_SPECS.values()) + SAMPLER_EDGE_SPECS
+
+
 class TestSampling:
     def test_deterministic(self):
-        for spec in (lf.lindley1(2.0), lf.gld(2.0, 3.0, 0.5)):
+        for spec in SELF_SAMPLE_SPECS.values():
             a = lf.sample(spec, 5, 123)
             b = lf.sample(spec, 5, 123)
             np.testing.assert_array_equal(a, b)
@@ -387,9 +400,10 @@ class TestSampling:
         assert not np.array_equal(a, b)
 
     def test_dtl_draws_inside_truncation(self):
-        spec = lf.dtl(2.71, 0.019, 1.46)
-        draws = lf.sample(spec, 500, 9)
-        assert np.all(draws >= 0.019) and np.all(draws <= 1.46)
+        for spec in SAMPLER_SPECS:
+            sup = lf.support(spec)
+            draws = lf.sample(spec, 500, 9)
+            assert np.all(draws >= sup.lower) and np.all(draws <= sup.upper), spec
 
     def test_lindley1_selfsample_ks(self):
         # asymptotic 5% critical value 1.36/sqrt(n)
@@ -398,6 +412,21 @@ class TestSampling:
         i = np.arange(1, draws.size + 1)
         d = max(np.max(i / draws.size - f), np.max(f - (i - 1) / draws.size))
         assert d < 1.36 / math.sqrt(draws.size)
+
+    def test_lindley1_stream_frozen(self):
+        # first draws of the bisection-era sampler; the lindley1 stream must not move
+        golden = [
+            1.111845242979216, 0.24949846848328783, 0.8913481673734877, 1.045248096651664,
+            0.26292938209578726, 0.5743193047045642, 1.146052240296571, 0.7739977777112063,
+        ]
+        np.testing.assert_array_equal(lf.sample(lf.lindley1(2.0), 1000, 42)[:8], golden)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("spec", SAMPLER_SPECS, ids=str)
+    def test_ks_against_shipped_cdf(self, spec, seed):
+        draws = lf.sample(spec, 100_000, seed)
+        p = stats.kstest(draws, lambda x: lf.cdf(spec, x)).pvalue
+        assert p >= 1e-6, (spec, seed, p)
 
     def test_inverse_cdf_round_trip(self):
         spec = lf.nwl(1.57, 3.77)
@@ -409,5 +438,16 @@ class TestSampling:
         assert np.all(np.diff(draws[order]) >= 0.0)
 
     def test_invalid_n(self):
+        for n in (0, True, 2.0):
+            with pytest.raises(DomainError):
+                lf.sample(lf.lindley1(1.0), n, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, True])
+    def test_invalid_seed(self, seed):
         with pytest.raises(DomainError):
-            lf.sample(lf.lindley1(1.0), 0, 1)
+            lf.sample(lf.lindley1(1.0), 10, seed)
+
+    def test_tpld_negative_b_not_sampled(self):
+        # legal vector, but its signed density is no distribution to draw from
+        with pytest.raises(DomainError):
+            lf.sample(lf.tpld(-0.099, 4.2), 10, 1)
