@@ -52,7 +52,6 @@ class RunConfig:
     n_bins: int = 20
     out_dir: str | None = None
     fmt: str = "json"
-    seed: int = 0
 
     def __post_init__(self):
         if not self.inputs:
@@ -299,7 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--format", default="json", choices=("json", "csv", "table"),
                      help="machine-readable report format written to --out")
     fit.add_argument("--out", default=None, help="directory for machine-readable reports")
-    fit.add_argument("--seed", type=int, default=0, help="unused by fit; kept for uniformity")
 
     plot = sub.add_parser("plotdata", help="write plot-ready CSV columns for one family")
     plot.add_argument("--input", action="append", required=True, help="catalog CSV")
@@ -330,7 +328,6 @@ def main(argv=None) -> int:
                 n_bins=args.bins,
                 out_dir=args.out,
                 fmt=args.format,
-                seed=args.seed,
             )
             return cmd_fit(config)
         if args.command == "plotdata":

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import distributions as dist
 from .distributions import DistributionSpec, Family
@@ -92,23 +91,25 @@ class SolveReport:
 
 
 def estimate_lindley1(t: MomentTargets) -> SolveReport:
-    """Match the one-parameter mean by bracketed root finding."""
+    """Closed-form c from the mean match: the positive root of x c^2 + (x - 1) c - 2 = 0.
 
-    def defect(c):
-        return (2.0 + c) / (c * (1.0 + c)) - t.xbar
-
-    lo, hi = 1e-12, 1e12
-    if defect(lo) * defect(hi) > 0:
-        raise NoSolutionError(
-            f"no c in [{lo:g}, {hi:g}] matches mean {t.xbar}", best_residual=abs(defect(hi))
-        )
-    c_hat, res = optimize.brentq(defect, lo, hi, xtol=1e-14, rtol=8.9e-16, full_output=True)
-    residual = defect(c_hat)
+    Here x is the sample mean.  Each side of x = 1 uses the form of the root without cancellation, and the
+    discriminant is factored so that it never overflows.
+    """
+    x = t.xbar
+    if x < 1.0:
+        c_hat = (1.0 - x + math.sqrt(x * x + 6.0 * x + 1.0)) / (2.0 * x)
+    else:
+        c_hat = 4.0 / (x - 1.0 + x * math.sqrt(1.0 + (6.0 + 1.0 / x) / x))
+    if not (0.0 < c_hat < math.inf):
+        raise NoSolutionError(f"the root c = {c_hat} for mean {x} is not a finite positive float")
+    spec = dist.lindley1(c_hat)
+    residual = dist.mean(spec) - x
     return SolveReport(
-        spec=dist.lindley1(c_hat),
+        spec=spec,
         residuals=np.array([residual]),
-        iterations=res.iterations,
-        converged=bool(res.converged and abs(residual) <= NEWTON_TOL),
+        iterations=0,
+        converged=bool(abs(residual) <= NEWTON_TOL * x),
     )
 
 
@@ -524,6 +525,8 @@ def estimate_dtl(t: MomentTargets) -> SolveReport:
             f"[{dist.mean(dist.dtl(hi, x_l, x_u)):.6g}, {dist.mean(dist.dtl(lo, x_l, x_u)):.6g}]",
             best_residual=min(abs(d_lo), abs(d_hi)),
         )
+    from scipy import optimize  # the only user; imported here to keep the package import light
+
     c_hat, res = optimize.brentq(defect, lo, hi, xtol=1e-14, rtol=8.9e-16, full_output=True)
     residual = defect(c_hat)
     return SolveReport(

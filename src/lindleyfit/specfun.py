@@ -1,42 +1,23 @@
-"""Special functions backing the distribution layer.
+"""Special functions backing the distribution layer: scipy.special with domain checks.
 
 Everything here is real-valued and double precision.  The complete gamma
-function and the error function delegate to libm, which is accurate to a few
-ulps (well beyond the 12 significant digits required of them).  The
-regularized incomplete gamma functions use the classical split between a
-power series (z < a + 1) and a Lentz continued fraction (z >= a + 1), and the
-Whittaker M function is evaluated through its confluent hypergeometric
-(Kummer) series.  Series and continued fractions stop when the running term
-falls below ``REL_TOL`` relative to the accumulated sum and fail with
-:class:`~lindleyfit.errors.ConvergenceError` after ``SERIES_CAP`` terms.
+function and the scalar error function delegate to libm; the regularized
+incomplete gamma functions and the array error functions delegate to
+``scipy.special`` (``gammainc``/``gammaincc``, DiDonato & Morris, ACM TOMS 12
+(1986) 377, and ``erf``/``erfc``).  This module only adds the argument checks,
+raising :class:`~lindleyfit.errors.DomainError` outside the domain instead of
+returning NaN.  ``gammainc``/``gammaincc`` return exactly 1 and 0 at
+``z = inf``, so the array kernels accept an infinite argument.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
-from .errors import ConvergenceError, DomainError
-
-SERIES_CAP = 500
-REL_TOL = 1e-14
-
-_TINY = 1e-300
-
-
-@dataclass(frozen=True)
-class SpecialValue:
-    """Result of a series evaluation together with its convergence status.
-
-    When ``converged`` is False the ``value`` field must not be consumed;
-    callers are expected to raise instead of propagating it.
-    """
-
-    value: float
-    converged: bool
-    terms_used: int
+from .errors import DomainError
 
 
 def gamma(z: float) -> float:
@@ -55,272 +36,55 @@ def erf(x: float) -> float:
     return math.erf(x)
 
 
-def _p_series(a: float, z: float, cap: int, tol: float) -> tuple[float, bool, int]:
-    """Power series for the regularized lower incomplete gamma P(a, z)."""
-    term = 1.0 / a
-    total = term
-    n = 0
-    converged = False
-    for n in range(1, cap + 1):
-        term *= z / (a + n)
-        total += term
-        if abs(term) < abs(total) * tol:
-            converged = True
-            break
-    value = total * math.exp(-z + a * math.log(z) - math.lgamma(a))
-    return value, converged, n
-
-
-def _q_contfrac(a: float, z: float, cap: int, tol: float) -> tuple[float, bool, int]:
-    """Lentz continued fraction for the regularized upper incomplete gamma Q(a, z)."""
-    b = z + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b if abs(b) >= _TINY else 1.0 / _TINY
-    h = d
-    n = 0
-    converged = False
-    for n in range(1, cap + 1):
-        an = -n * (n - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < tol:
-            converged = True
-            break
-    value = h * math.exp(-z + a * math.log(z) - math.lgamma(a))
-    return value, converged, n
+def _check_scalar(name: str, a: float, z: float) -> tuple[float, float]:
+    a = float(a)
+    z = float(z)
+    if not math.isfinite(a) or a <= 0.0:
+        raise DomainError(f"{name} requires a > 0, got a={a!r}")
+    if not math.isfinite(z) or z < 0.0:
+        raise DomainError(f"{name} requires z >= 0, got z={z!r}")
+    return a, z
 
 
 def regularized_gamma_p(a: float, z: float) -> float:
     """Regularized lower incomplete gamma P(a, z) for a > 0, z >= 0."""
-    a = float(a)
-    z = float(z)
-    if not math.isfinite(a) or a <= 0.0:
-        raise DomainError(f"regularized_gamma_p requires a > 0, got a={a!r}")
-    if not math.isfinite(z) or z < 0.0:
-        raise DomainError(f"regularized_gamma_p requires z >= 0, got z={z!r}")
-    if z == 0.0:
-        return 0.0
-    if z < a + 1.0:
-        p, ok, n = _p_series(a, z, SERIES_CAP, REL_TOL)
-    else:
-        q, ok, n = _q_contfrac(a, z, SERIES_CAP, REL_TOL)
-        p = 1.0 - q
-    if not ok:
-        raise ConvergenceError(
-            f"incomplete gamma did not converge within {SERIES_CAP} terms (a={a}, z={z})"
-        )
-    return min(max(p, 0.0), 1.0)
+    a, z = _check_scalar("regularized_gamma_p", a, z)
+    return float(special.gammainc(a, z))
 
 
 def regularized_gamma_q(a: float, z: float) -> float:
     """Regularized upper incomplete gamma Q(a, z) = 1 - P(a, z)."""
-    a = float(a)
-    z = float(z)
-    if not math.isfinite(a) or a <= 0.0:
-        raise DomainError(f"regularized_gamma_q requires a > 0, got a={a!r}")
-    if not math.isfinite(z) or z < 0.0:
-        raise DomainError(f"regularized_gamma_q requires z >= 0, got z={z!r}")
-    if z == 0.0:
-        return 1.0
-    if z < a + 1.0:
-        p, ok, n = _p_series(a, z, SERIES_CAP, REL_TOL)
-        q = 1.0 - p
-    else:
-        q, ok, n = _q_contfrac(a, z, SERIES_CAP, REL_TOL)
-    if not ok:
-        raise ConvergenceError(
-            f"incomplete gamma did not converge within {SERIES_CAP} terms (a={a}, z={z})"
-        )
-    return min(max(q, 0.0), 1.0)
+    a, z = _check_scalar("regularized_gamma_q", a, z)
+    return float(special.gammaincc(a, z))
 
 
-def upper_incomplete_gamma(a: float, z: float) -> float:
-    """Non-regularized upper incomplete gamma: integral of t^(a-1) e^(-t) over [z, inf)."""
+def _check_array(name: str, a: float, z: np.ndarray) -> tuple[float, np.ndarray]:
     a = float(a)
-    z = float(z)
-    if not math.isfinite(a) or a <= 0.0:
-        raise DomainError(f"upper_incomplete_gamma requires a > 0, got a={a!r}")
-    if not math.isfinite(z) or z < 0.0:
-        raise DomainError(f"upper_incomplete_gamma requires z >= 0, got z={z!r}")
-    if z == 0.0:
-        return math.gamma(a)
-    return regularized_gamma_q(a, z) * math.gamma(a)
+    if a <= 0.0:
+        raise DomainError(f"{name} requires a > 0, got a={a!r}")
+    z = np.asarray(z, dtype=float)
+    if z.size and float(np.min(z)) < 0.0:
+        raise DomainError(f"{name} requires z >= 0 everywhere")
+    return a, z
 
 
 def reg_gamma_p_arr(a: float, z: np.ndarray) -> np.ndarray:
-    """Vectorized P(a, z) over a float array with z >= 0.
-
-    The same series / continued-fraction split as the scalar version, applied
-    element-wise with masks so mixed inputs converge independently.
-    """
-    a = float(a)
-    if a <= 0.0:
-        raise DomainError(f"reg_gamma_p_arr requires a > 0, got a={a!r}")
-    z = np.asarray(z, dtype=float)
-    if z.size and float(np.min(z)) < 0.0:
-        raise DomainError("reg_gamma_p_arr requires z >= 0 everywhere")
-    out = np.zeros(z.shape, dtype=float)
-    flat_z = z.ravel()
-    flat_out = out.ravel()
-
-    log_gamma_a = math.lgamma(a)
-
-    idx_series = np.flatnonzero((flat_z > 0.0) & (flat_z < a + 1.0))
-    if idx_series.size:
-        zs = flat_z[idx_series]
-        term = np.full(zs.shape, 1.0 / a)
-        total = term.copy()
-        converged = np.zeros(zs.shape, dtype=bool)
-        for n in range(1, SERIES_CAP + 1):
-            term *= zs / (a + n)
-            total += term
-            converged |= np.abs(term) < np.abs(total) * REL_TOL
-            if converged.all():
-                break
-        if not converged.all():
-            raise ConvergenceError(
-                f"incomplete gamma series failed on {int((~converged).sum())} points (a={a})"
-            )
-        with np.errstate(divide="ignore"):
-            pref = np.exp(-zs + a * np.log(zs) - log_gamma_a)
-        flat_out[idx_series] = total * pref
-
-    idx_cf = np.flatnonzero(flat_z >= a + 1.0)
-    if idx_cf.size:
-        zc = flat_z[idx_cf]
-        b = zc + 1.0 - a
-        c = np.full(zc.shape, 1.0 / _TINY)
-        d = 1.0 / np.where(np.abs(b) < _TINY, _TINY, b)
-        h = d.copy()
-        converged = np.zeros(zc.shape, dtype=bool)
-        for n in range(1, SERIES_CAP + 1):
-            an = -n * (n - a)
-            b = b + 2.0
-            d = an * d + b
-            d = np.where(np.abs(d) < _TINY, _TINY, d)
-            c = b + an / c
-            c = np.where(np.abs(c) < _TINY, _TINY, c)
-            d = 1.0 / d
-            delta = d * c
-            h *= delta
-            converged |= np.abs(delta - 1.0) < REL_TOL
-            if converged.all():
-                break
-        if not converged.all():
-            raise ConvergenceError(
-                f"incomplete gamma continued fraction failed on {int((~converged).sum())} points (a={a})"
-            )
-        q = h * np.exp(-zc + a * np.log(zc) - log_gamma_a)
-        flat_out[idx_cf] = 1.0 - q
-
-    np.clip(out, 0.0, 1.0, out=out)
-    return out
+    """Element-wise P(a, z) over a float array with z >= 0 (z = inf gives 1)."""
+    a, z = _check_array("reg_gamma_p_arr", a, z)
+    return special.gammainc(a, z)
 
 
 def reg_gamma_q_arr(a: float, z: np.ndarray) -> np.ndarray:
-    """Vectorized Q(a, z) = 1 - P(a, z), computed through the stable branch."""
-    a = float(a)
-    if a <= 0.0:
-        raise DomainError(f"reg_gamma_q_arr requires a > 0, got a={a!r}")
-    z = np.asarray(z, dtype=float)
-    if z.size and float(np.min(z)) < 0.0:
-        raise DomainError("reg_gamma_q_arr requires z >= 0 everywhere")
-    out = np.ones(z.shape, dtype=float)
-    flat_z = z.ravel()
-    flat_out = out.ravel()
-
-    log_gamma_a = math.lgamma(a)
-
-    idx_series = np.flatnonzero((flat_z > 0.0) & (flat_z < a + 1.0))
-    if idx_series.size:
-        p = reg_gamma_p_arr(a, flat_z[idx_series])
-        flat_out[idx_series] = 1.0 - p
-
-    idx_cf = np.flatnonzero(flat_z >= a + 1.0)
-    if idx_cf.size:
-        zc = flat_z[idx_cf]
-        b = zc + 1.0 - a
-        c = np.full(zc.shape, 1.0 / _TINY)
-        d = 1.0 / np.where(np.abs(b) < _TINY, _TINY, b)
-        h = d.copy()
-        converged = np.zeros(zc.shape, dtype=bool)
-        for n in range(1, SERIES_CAP + 1):
-            an = -n * (n - a)
-            b = b + 2.0
-            d = an * d + b
-            d = np.where(np.abs(d) < _TINY, _TINY, d)
-            c = b + an / c
-            c = np.where(np.abs(c) < _TINY, _TINY, c)
-            d = 1.0 / d
-            delta = d * c
-            h *= delta
-            converged |= np.abs(delta - 1.0) < REL_TOL
-            if converged.all():
-                break
-        if not converged.all():
-            raise ConvergenceError(
-                f"incomplete gamma continued fraction failed on {int((~converged).sum())} points (a={a})"
-            )
-        flat_out[idx_cf] = h * np.exp(-zc + a * np.log(zc) - log_gamma_a)
-
-    np.clip(out, 0.0, 1.0, out=out)
-    return out
-
-
-_erf_vec = np.vectorize(math.erf, otypes=[float])
-_erfc_vec = np.vectorize(math.erfc, otypes=[float])
+    """Element-wise Q(a, z) = 1 - P(a, z), computed directly (z = inf gives 0)."""
+    a, z = _check_array("reg_gamma_q_arr", a, z)
+    return special.gammaincc(a, z)
 
 
 def erf_arr(x: np.ndarray) -> np.ndarray:
     """Element-wise error function."""
-    return _erf_vec(np.asarray(x, dtype=float))
+    return special.erf(np.asarray(x, dtype=float))
 
 
 def erfc_arr(x: np.ndarray) -> np.ndarray:
     """Element-wise complementary error function."""
-    return _erfc_vec(np.asarray(x, dtype=float))
-
-
-def whittaker_m(kappa: float, mu: float, z: float) -> SpecialValue:
-    """Whittaker M function via its Kummer-series reduction.
-
-    M_{kappa,mu}(z) = exp(-z/2) z^(mu + 1/2) * 1F1(mu - kappa + 1/2; 1 + 2 mu; z)
-
-    The confluent hypergeometric series is summed directly; all arguments in
-    this package keep the series terms positive so no cancellation occurs.
-    """
-    kappa = float(kappa)
-    mu = float(mu)
-    z = float(z)
-    if not math.isfinite(z) or z <= 0.0:
-        raise DomainError(f"whittaker_m requires z > 0, got z={z!r}")
-    beta = 1.0 + 2.0 * mu
-    if beta <= 0.5 and abs(beta - round(beta)) < 1e-12 and round(beta) <= 0:
-        raise DomainError(
-            f"whittaker_m pole: 1 + 2*mu = {beta!r} is zero or a negative integer"
-        )
-    alpha = mu - kappa + 0.5
-
-    term = 1.0
-    total = 1.0
-    n = 0
-    converged = False
-    for n in range(1, SERIES_CAP + 1):
-        term *= (alpha + n - 1.0) / (beta + n - 1.0) * z / n
-        total += term
-        if not (math.isfinite(term) and math.isfinite(total)):
-            n = SERIES_CAP
-            break
-        if abs(term) <= abs(total) * REL_TOL:
-            converged = True
-            break
-    value = math.exp(-z / 2.0) * z ** (mu + 0.5) * total
-    return SpecialValue(value=value, converged=converged, terms_used=n)
+    return special.erfc(np.asarray(x, dtype=float))

@@ -2,9 +2,11 @@
 
 The distribution functions here are the unsimplified single-expression
 variants of the shipped quantities, transcribed verbatim from the source
-closed forms.  They cancel badly at large rate*x, which is exactly why the
-shipped code uses incomplete-gamma compositions instead; at the moderate
-arguments used in tests both agree to ~1e-10.  Also provides brute-force
+closed forms.  Their Whittaker M and upper incomplete gamma factors come from
+mpmath, an implementation independent of the package.  They cancel badly at
+large rate*x, which is exactly why the shipped code uses incomplete-gamma
+compositions instead; at the moderate arguments used in tests both agree to
+~1e-10.  Also provides brute-force
 root enumerations of the three-parameter moment systems, used to decide
 whether a parameter vector is the canonical (smallest-c) root of its own
 moments.  Production code never imports this module.
@@ -12,18 +14,23 @@ moments.  Production code never imports this module.
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import optimize
-
-from lindleyfit import specfun
 
 exp = math.exp
 
 
 def _whit(kappa, mu, z):
-    sv = specfun.whittaker_m(kappa, mu, z)
-    assert sv.converged, f"whittaker series did not converge at ({kappa}, {mu}, {z})"
-    return sv.value
+    """Whittaker M_{kappa,mu}(z), evaluated by mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        return float(mpmath.whitm(kappa, mu, z))
+
+
+def _upper_incomplete_gamma(a, z):
+    """Non-regularized upper incomplete gamma: integral of t^(a-1) e^(-t) over [z, inf)."""
+    with mpmath.workdps(30):
+        return float(mpmath.gammainc(a, z))
 
 
 # -- textbook CDFs ----------------------------------------------------------
@@ -54,7 +61,7 @@ def gld_cdf(x, a, b, c, whittaker=_whit):
 
 def ngld_cdf(x, a, b, c):
     G = math.gamma
-    uig = specfun.upper_incomplete_gamma
+    uig = _upper_incomplete_gamma
     z = c * x
     nb = (
         G(b + 2) * x**a * c ** (a + 1) * exp(-z) * a

@@ -72,7 +72,7 @@ class TestFit:
     def test_full_run_writes_json(self, synth_csv, tmp_path, capsys):
         out = tmp_path / "reports"
         code, stdout, _ = run(
-            capsys, "fit", "--input", str(synth_csv), "--out", str(out), "--seed", "0"
+            capsys, "fit", "--input", str(synth_csv), "--out", str(out)
         )
         assert code == 0
         report = json.loads((out / "synth_fits.json").read_text())
@@ -119,6 +119,13 @@ class TestFit:
         assert code == 1
         assert "InfeasibleMomentsError" in stdout
         assert "lindley1" in stdout
+
+    def test_seed_option_is_gone(self, synth_csv, capsys):
+        # fit is deterministic without a seed, so argparse rejects the option
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit", "--input", str(synth_csv), "--seed", "0"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_missing_input_is_config_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "fit", "--input", str(tmp_path / "nope.csv"))

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -59,6 +62,27 @@ class TestLindley1:
         r = est.estimate_lindley1(t)
         assert abs(r.residuals[0]) <= 1e-10
         assert lf.mean(r.spec) == pytest.approx(t.xbar, abs=1e-9)
+
+    @pytest.mark.parametrize("xbar", np.geomspace(1e-11, 1e11, 45))
+    def test_closed_form_matches_mean_at_every_scale(self, xbar):
+        r = est.estimate_lindley1(targets(xbar, 0.5))
+        assert r.converged
+        assert abs(lf.mean(r.spec) / xbar - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("xbar", [5e-324, 1.7e308])
+    def test_unrepresentable_root_is_no_solution(self, xbar):
+        # c would be inf or 0 in double precision
+        with pytest.raises(NoSolutionError):
+            est.estimate_lindley1(targets(xbar, 0.5))
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(lf.__file__))
+    code = "import sys, lindleyfit; print([m for m in sys.modules if m.startswith('scipy.optimize')])"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestTpld:
