@@ -527,9 +527,12 @@ def hazard(spec: DistributionSpec, x):
 # moments
 # --------------------------------------------------------------------------
 
-def _gamma_ratio(top: float, bottom: float) -> float:
-    """Gamma(top) / Gamma(bottom) through lgamma, safe for large arguments."""
-    return math.exp(math.lgamma(top) - math.lgamma(bottom))
+def _rising(x, n: int):
+    """x (x+1) ... (x+n-1), which is Gamma(x+n) / Gamma(x) for an integer n >= 0."""
+    out = x if n else 1.0
+    for k in range(1, n):
+        out = out * (x + k)
+    return out
 
 
 def _exp_partial_sum(n: int, z: float) -> float:
@@ -579,16 +582,17 @@ def _raw_moment_tpld(r, b, c):
 
 
 def _raw_moment_pld(r, b, c):
+    # b^(1-s) Gamma(s+1) + b^(-s) Gamma(s+2) with Gamma(s+2) = (s+1) Gamma(s+1)
     s = r / c
-    return (b ** (1.0 - s) * math.gamma(s + 1.0) + b ** (-s) * math.gamma(s + 2.0)) / (b + 1.0)
+    return b ** (-s) * special.gamma(s + 1.0) * (b + s + 1.0) / (b + 1.0)
 
 
 def _raw_moment_gld(r, a, b, c):
-    return _gamma_ratio(r + a, a + 1.0) * (c * a + c * r + a * b) / (b**r * (c + b))
+    return _rising(a + 1.0, r - 1) * (c * a + c * r + a * b) / (b**r * (c + b))
 
 
 def _raw_moment_ngld(r, a, b, c):
-    return (c ** (1.0 - r) * _gamma_ratio(r + a, a) + c ** (-float(r)) * _gamma_ratio(r + b, b)) / (1.0 + c)
+    return (c ** (1.0 - r) * _rising(a, r) + c ** (-float(r)) * _rising(b, r)) / (1.0 + c)
 
 
 def _raw_moment_nwl(r, b, c):
@@ -620,73 +624,148 @@ _RAW_MOMENT = {
 }
 
 
+def _finite_moment(what: str, spec: DistributionSpec, form) -> float:
+    """``form()`` as a float; a moment that is not a finite double raises DomainError."""
+    try:
+        # an overflow shows up as a non-finite value, which raises below
+        with np.errstate(all="ignore"):
+            value = float(form())
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"the {what} of {spec} is not a finite double")
+    return value
+
+
 def raw_moment(spec: DistributionSpec, r: int) -> float:
     """r-th moment about the origin, r >= 1."""
     if not isinstance(r, (int, np.integer)) or r < 1:
         raise DomainError(f"raw_moment requires a positive integer order, got r={r!r}")
-    return _RAW_MOMENT[spec.family](int(r), *spec.params)
+    return _finite_moment(
+        f"raw moment of order {r}", spec, lambda: _RAW_MOMENT[spec.family](int(r), *spec.params)
+    )
 
 
-def mean(spec: DistributionSpec) -> float:
-    """Closed-form mean."""
-    fam, p = spec.family, spec.params
-    if fam is Family.LINDLEY1:
-        (c,) = p
-        return (2.0 + c) / (c * (1.0 + c))
-    if fam is Family.TPLD:
-        b, c = p
-        return (b * c + 2.0) / (c * (b * c + 1.0))
-    if fam is Family.GLD:
-        a, b, c = p
-        return (a * b + a * c + c) / (b * (c + b))
-    if fam is Family.NGLD:
-        a, b, c = p
-        return (a * c + b) / (c * (1.0 + c))
-    if fam is Family.NWL:
-        b, c = p
-        return (b * b * c + 2.0 * b * b + 3.0 * c * b + 6.0 * b + 2.0 * c + 6.0) / (
-            (c * b + b + c + 2.0) * c * (1.0 + b)
-        )
-    if fam is Family.DTL:
-        c, x_l, x_u = p
-        return _raw_moment_dtl(1, c, x_l, x_u)
-    if fam is Family.LOGNORMAL:
-        m, sigma = p
-        return m * math.exp(0.5 * sigma * sigma)
-    # PLD: first raw moment
-    b, c = p
+# Mean, and mean with variance, per family.  The power, generalized,
+# new-generalized and new-weighted forms also take parameter arrays, for the
+# batched estimators.  The one- and two-parameter forms are factored so that
+# c (or b*c) up to the largest double neither overflows nor flushes a
+# representable result to 0; u = 1/(bc + 1) turns (bc + 2)/(bc + 1) into
+# 1 + u and the variance numerator over (bc + 1)^2 into 1 + u(2 - u).
+
+def _mean_lindley1(c):
+    return (2.0 + c) / (1.0 + c) / c
+
+
+def _mean_variance_lindley1(c):
+    return _mean_lindley1(c), (1.0 + (4.0 + 2.0 / c) / c) / (1.0 + c) / (1.0 + c)
+
+
+def _mean_tpld(b, c):
+    return (1.0 + 1.0 / (b * c + 1.0)) / c
+
+
+def _mean_variance_tpld(b, c):
+    u = 1.0 / (b * c + 1.0)
+    return (1.0 + u) / c, (1.0 + u * (2.0 - u)) / c / c
+
+
+def _mean_pld(b, c):
     return _raw_moment_pld(1, b, c)
 
 
-def variance(spec: DistributionSpec) -> float:
-    """Closed-form variance.
+def _mean_variance_pld(b, c):
+    mu = _raw_moment_pld(1, b, c)
+    return mu, _raw_moment_pld(2, b, c) - mu * mu
 
-    The power and new-weighted families use mu2' - mu^2 from the raw moments;
-    their sprawling one-expression variants live in the test suite only.
+
+def _mean_gld(a, b, c):
+    return (a * (b + c) + c) / (b * (b + c))
+
+
+def _mean_variance_gld(a, b, c):
+    # numerator a b^2 + 2abc + a c^2 + 2bc + c^2 grouped as a (b+c)^2 + c (2b + c)
+    bc = b + c
+    d = b * bc
+    return (a * bc + c) / d, (a * bc * bc + c * (2.0 * b + c)) / (d * d)
+
+
+def _mean_ngld(a, b, c):
+    return (a * c + b) / (c * (1.0 + c))
+
+
+def _mean_variance_ngld(a, b, c):
+    # numerator a^2 c - 2abc + a c^2 + b^2 c + ac + bc + b grouped as c ((a-b)^2 + ac + a + b) + b,
+    # which has no cancellation when a is close to b
+    d = c * (1.0 + c)
+    return (a * c + b) / d, (c * ((a - b) * (a - b) + a * c + a + b) + b) / (d * d)
+
+
+def _mean_nwl(b, c):
+    return (b * b * c + 2.0 * b * b + 3.0 * c * b + 6.0 * b + 2.0 * c + 6.0) / (
+        (c * b + b + c + 2.0) * c * (1.0 + b)
+    )
+
+
+def _mean_variance_nwl(b, c):
+    mu = _mean_nwl(b, c)
+    return mu, _raw_moment_nwl(2, b, c) - mu * mu
+
+
+def _mean_dtl(c, x_l, x_u):
+    return _raw_moment_dtl(1, c, x_l, x_u)
+
+
+def _mean_variance_dtl(c, x_l, x_u):
+    mu = _raw_moment_dtl(1, c, x_l, x_u)
+    return mu, _raw_moment_dtl(2, c, x_l, x_u) - mu * mu
+
+
+def _mean_lognormal(m, sigma):
+    return m * math.exp(0.5 * sigma * sigma)
+
+
+def _mean_variance_lognormal(m, sigma):
+    e = math.exp(sigma * sigma)
+    return _mean_lognormal(m, sigma), e * (e - 1.0) * m * m
+
+
+_MEAN = {
+    Family.LINDLEY1: _mean_lindley1,
+    Family.TPLD: _mean_tpld,
+    Family.PLD: _mean_pld,
+    Family.GLD: _mean_gld,
+    Family.NGLD: _mean_ngld,
+    Family.NWL: _mean_nwl,
+    Family.DTL: _mean_dtl,
+    Family.LOGNORMAL: _mean_lognormal,
+}
+
+_MEAN_VARIANCE = {
+    Family.LINDLEY1: _mean_variance_lindley1,
+    Family.TPLD: _mean_variance_tpld,
+    Family.PLD: _mean_variance_pld,
+    Family.GLD: _mean_variance_gld,
+    Family.NGLD: _mean_variance_ngld,
+    Family.NWL: _mean_variance_nwl,
+    Family.DTL: _mean_variance_dtl,
+    Family.LOGNORMAL: _mean_variance_lognormal,
+}
+
+
+def mean(spec: DistributionSpec) -> float:
+    """Closed-form mean; DomainError when it is not a finite double."""
+    return _finite_moment("mean", spec, lambda: _MEAN[spec.family](*spec.params))
+
+
+def variance(spec: DistributionSpec) -> float:
+    """Closed-form variance; DomainError when it is not a finite double.
+
+    The power, new-weighted and truncated families use mu2' - mu^2 from the
+    raw moments; their sprawling one-expression variants live in the test
+    suite only.
     """
-    fam, p = spec.family, spec.params
-    if fam is Family.LINDLEY1:
-        (c,) = p
-        return (c * c + 4.0 * c + 2.0) / (c * c * (1.0 + c) ** 2)
-    if fam is Family.TPLD:
-        b, c = p
-        return (b * b * c * c + 4.0 * b * c + 2.0) / (c * c * (b * c + 1.0) ** 2)
-    if fam is Family.GLD:
-        a, b, c = p
-        return (a * b * b + 2.0 * c * b * a + c * c * a + 2.0 * c * b + c * c) / (
-            b * b * (c + b) ** 2
-        )
-    if fam is Family.NGLD:
-        a, b, c = p
-        return (
-            a * a * c - 2.0 * a * b * c + a * c * c + b * b * c + a * c + b * c + b
-        ) / (c * c * (1.0 + c) ** 2)
-    if fam is Family.LOGNORMAL:
-        m, sigma = p
-        e = math.exp(sigma * sigma)
-        return e * (e - 1.0) * m * m
-    mu = mean(spec)
-    return raw_moment(spec, 2) - mu * mu
+    return _finite_moment("variance", spec, lambda: _MEAN_VARIANCE[spec.family](*spec.params)[1])
 
 
 def central_moments_34(spec: DistributionSpec) -> tuple[float, float]:
@@ -696,8 +775,10 @@ def central_moments_34(spec: DistributionSpec) -> tuple[float, float]:
             f"central_moments_34 is defined for the one-parameter family, got {spec.family.value}"
         )
     (c,) = spec.params
-    mu3 = (2.0 * c**3 + 12.0 * c**2 + 12.0 * c + 4.0) / (c**3 * (1.0 + c) ** 3)
-    mu4 = (9.0 * c**4 + 72.0 * c**3 + 132.0 * c**2 + 96.0 * c + 24.0) / (c**4 * (1.0 + c) ** 4)
+    # numerators divided by c^3 and c^4, so large c neither overflows nor flushes to 0
+    u = 1.0 + c
+    mu3 = (2.0 + (12.0 + (12.0 + 4.0 / c) / c) / c) / u / u / u
+    mu4 = (9.0 + (72.0 + (132.0 + (96.0 + 24.0 / c) / c) / c) / c) / u / u / u / u
     return mu3, mu4
 
 

@@ -9,10 +9,6 @@ class DomainError(LindleyFitError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class ConvergenceError(LindleyFitError, RuntimeError):
-    """A series, continued fraction or iteration failed to converge."""
-
-
 class ParameterError(LindleyFitError, ValueError):
     """A distribution parameter vector violates its family's constraints."""
 

@@ -4,7 +4,8 @@ Closed forms are used where they exist (one-parameter, two-parameter and
 lognormal families); the power / new-weighted families solve the 2x2 system
 {mean = xbar, variance = s2} and the generalized / new-generalized families
 the 3x3 system that adds the third raw moment, both with damped Newton
-iterations started from a fixed deterministic set of points.
+iterations started from a fixed deterministic set of points.  One batched
+engine runs every start at once as a lane of numpy arrays.
 
 The three-parameter moment systems are genuinely multi-rooted: distinct
 positive parameter vectors can share their first three moments.  All roots
@@ -16,6 +17,7 @@ docstrings.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -158,152 +160,198 @@ def estimate_lognormal(t: MomentTargets) -> SolveReport:
 
 
 # --------------------------------------------------------------------------
-# damped Newton core
+# batched multistart damped Newton
 # --------------------------------------------------------------------------
 
-def _moments_pld(p):
-    b, c = p
-    m1 = dist._raw_moment_pld(1, b, c)
-    return np.array([m1, dist._raw_moment_pld(2, b, c) - m1 * m1])
+_MAX_ITER = 60
+_STEP_LENGTHS = 0.5 ** np.arange(30)   # the damped step lengths, tried longest first
 
 
-def _moments_nwl(p):
-    b, c = p
-    m1 = dist._raw_moment_nwl(1, b, c)
-    return np.array([m1, dist._raw_moment_nwl(2, b, c) - m1 * m1])
+def _moment_map(family: Family):
+    """The family's (mean, variance[, third raw moment]) at parameter vectors stacked as (..., k)."""
+    mean_variance, raw_moment = dist._MEAN_VARIANCE[family], dist._RAW_MOMENT[family]
+    k = len(dist.PARAM_NAMES[family])
+
+    def moments(params: np.ndarray) -> np.ndarray:
+        cols = [params[..., j] for j in range(k)]
+        out = np.empty(params.shape)
+        out[..., 0], out[..., 1] = mean_variance(*cols)
+        if k == 3:
+            out[..., 2] = raw_moment(3, *cols)
+        return out
+
+    return moments
 
 
-def _moments_gld(p):
-    a, b, c = p
-    m1 = (a * b + a * c + c) / (b * (c + b))
-    var = (a * b * b + 2.0 * c * b * a + c * c * a + 2.0 * c * b + c * c) / (b * b * (c + b) ** 2)
-    return np.array([m1, var, dist._raw_moment_gld(3, a, b, c)])
+def _solve_lanes(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Newton steps for a stack of systems; a singular lane gets a NaN step."""
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # a stacked solve raises if any one matrix is singular
+        out = np.full(rhs.shape, np.nan)
+        for i in range(len(jac)):
+            try:
+                out[i] = np.linalg.solve(jac[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
-def _moments_ngld(p):
-    a, b, c = p
-    m1 = (a * c + b) / (c * (1.0 + c))
-    var = (a * a * c - 2.0 * a * b * c + a * c * c + b * b * c + a * c + b * c + b) / (
-        c * c * (1.0 + c) ** 2
-    )
-    return np.array([m1, var, dist._raw_moment_ngld(3, a, b, c)])
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis; one that overflows reads inf, which no step can lower."""
+    with np.errstate(over="ignore"):
+        return np.sqrt((x * x).sum(axis=-1))
 
 
-_MOMENT_FUNS = {
-    Family.PLD: _moments_pld,
-    Family.NWL: _moments_nwl,
-    Family.GLD: _moments_gld,
-    Family.NGLD: _moments_ngld,
-}
+def _multistart(moments, targets: np.ndarray, starts, first_hit: bool = False):
+    """Damped Newton on positivity-constrained parameters from every start at once.
 
+    Each start is one lane of ``(n_starts, k)`` arrays and follows the same
+    rule on its own: a central finite-difference Jacobian with step
+    ``1e-7 * max(|p_j|, 1e-5)``, at most 60 iterations, a stop once every
+    target-scaled defect is below 1e-13, and a step of length 1, 1/2, ...,
+    2^-29 -- the longest one that keeps every parameter positive and lowers
+    the defect norm.  A lane whose start, defect, Jacobian or step is not
+    finite, or whose Jacobian is singular, ends with no result; a lane that
+    no step length improves ends where it is.
 
-def _newton(fun, targets: np.ndarray, p0: np.ndarray, max_iter=60, max_halvings=30):
-    """Damped Newton on positivity-constrained parameters.
-
-    Returns (params, raw_residuals, iterations) or None when the start fails
-    (domain errors, singular Jacobian, or a stalled line search).
+    Returns ``(index, params, raw_residuals, iterations)`` for every lane
+    that ends with a result, in start order.  With ``first_hit``, lanes after
+    the first one that ends within NEWTON_TOL are dropped, because only the
+    first converged start is wanted.
     """
+    p_all = np.array(starts, dtype=float).reshape(-1, len(targets))
+    n, k = p_all.shape
     scale = np.maximum(np.abs(targets), 1e-12)
 
-    def resid(p):
-        return (fun(p) - targets) / scale
+    def resid(params):
+        # an overflow or a domain error yields a non-finite defect, which ends the lane
+        with np.errstate(all="ignore"):
+            return (moments(params) - targets) / scale
 
-    p = np.asarray(p0, dtype=float)
-    if np.any(p <= 0) or not np.all(np.isfinite(p)):
-        return None
-    try:
-        r = resid(p)
-    except (OverflowError, ValueError, ZeroDivisionError, ParameterError):
-        return None
-    if not np.all(np.isfinite(r)):
-        return None
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        if np.max(np.abs(r)) < 1e-13:
+    r_all = np.full((n, k), np.nan)
+    ok = (p_all > 0).all(axis=1) & np.isfinite(p_all).all(axis=1)
+    if ok.any():
+        r_all[ok] = resid(p_all[ok])
+    # the state of the running lanes: start index, parameters, defect, defect norm
+    live = np.flatnonzero(np.isfinite(r_all).all(axis=1))
+    p, r = p_all[live], r_all[live]
+    norm = _norm(r)
+    ended = np.zeros(n, dtype=bool)
+    iters = np.zeros(n, dtype=int)
+    cutoff = n
+    diag = np.arange(k)
+
+    def end(mask, it):
+        nonlocal cutoff
+        lanes = live[mask]
+        p_all[lanes], r_all[lanes], ended[lanes], iters[lanes] = p[mask], r[mask], True, it
+        if first_hit:
+            hits = lanes[np.abs(r[mask] * scale).max(axis=1) <= NEWTON_TOL]
+            if hits.size:
+                cutoff = min(cutoff, hits[0])
+
+    for it in range(1, _MAX_ITER + 1):
+        keep = (live <= cutoff) & (np.abs(r).max(axis=1) >= 1e-13)
+        if not keep.all():
+            end(~keep & (live <= cutoff), it)
+            live, p, r, norm = live[keep], p[keep], r[keep], norm[keep]
+        if live.size == 0:
             break
-        jac = np.empty((r.size, p.size))
-        try:
-            for j in range(p.size):
-                h = 1e-7 * max(abs(p[j]), 1e-5)
-                pp, pm = p.copy(), p.copy()
-                pp[j] += h
-                pm[j] = max(pm[j] - h, 1e-300)
-                jac[:, j] = (resid(pp) - resid(pm)) / (pp[j] - pm[j])
-        except (OverflowError, ValueError, ZeroDivisionError, ParameterError):
-            return None
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
-        norm = np.linalg.norm(r)
-        lam = 1.0
-        accepted = False
-        for _ in range(max_halvings):
-            cand = p + lam * step
-            if np.all(cand > 0):
-                try:
-                    rc = resid(cand)
-                except (OverflowError, ValueError, ZeroDivisionError, ParameterError):
-                    rc = None
-                if rc is not None and np.all(np.isfinite(rc)) and np.linalg.norm(rc) < norm:
-                    p, r = cand, rc
-                    accepted = True
-                    break
-            lam *= 0.5
-        if not accepted:
-            break
-    return p, r * scale, iters
+
+        # the 2k perturbed points of every lane in one evaluation
+        h = 1e-7 * np.maximum(np.abs(p), 1e-5)
+        up, down = p + h, np.maximum(p - h, 1e-300)
+        points = np.repeat(p[:, None, :], 2 * k, axis=1)
+        points[:, diag, diag] = up
+        points[:, k + diag, diag] = down
+        both = resid(points)
+        with np.errstate(all="ignore"):
+            jac = (both[:, :k] - both[:, k:]).transpose(0, 2, 1) / (up - down)[:, None, :]
+        step = _solve_lanes(jac, -r)
+        good = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(step).all(axis=1)
+        if not good.all():
+            live, p, r, norm, step = live[good], p[good], r[good], norm[good], step[good]
+
+        # every step length of every lane in one (lanes x 30) block
+        with np.errstate(over="ignore"):
+            cand = p[:, None, :] + _STEP_LENGTHS[:, None] * step[:, None, :]
+        positive = (cand > 0).all(axis=2)
+        if positive.all():
+            r_cand = resid(cand)
+        else:
+            r_cand = np.full(cand.shape, np.nan)
+            r_cand[positive] = resid(cand[positive])
+        norm_cand = _norm(r_cand)
+        better = np.isfinite(r_cand).all(axis=2) & (norm_cand < norm[:, None])
+        moved = better.any(axis=1)
+        if not moved.all():
+            end(~moved, it)
+            live, cand, r_cand, norm_cand, better = (
+                x[moved] for x in (live, cand, r_cand, norm_cand, better)
+            )
+        rows, pick = np.arange(live.size), better.argmax(axis=1)
+        p, r, norm = cand[rows, pick], r_cand[rows, pick], norm_cand[rows, pick]
+    end(np.ones(live.size, dtype=bool), _MAX_ITER)
+    return [(i, p_all[i], r_all[i] * scale, int(iters[i])) for i in np.flatnonzero(ended) if i <= cutoff]
 
 
 # --------------------------------------------------------------------------
 # seed scans for the three-parameter systems
 # --------------------------------------------------------------------------
 
-def _bisect_scan(g, lo, hi, glo, iters=90):
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm is None or not math.isfinite(gm):
-            break
-        if (gm > 0) == (glo > 0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+_BRANCHES = np.array([[1.0], [-1.0]])   # the two roots of each quadratic, as a column
 
 
-def _sign_change_roots(grid, values, g):
-    roots = []
-    for i in range(len(grid) - 1):
-        v0, v1 = values[i], values[i + 1]
-        if not (math.isfinite(v0) and math.isfinite(v1)):
-            continue
-        if (v0 > 0) != (v1 > 0):
-            roots.append(_bisect_scan(g, grid[i], grid[i + 1], v0))
-    return roots
+def _scan_seeds(g, grid):
+    """Roots and near-roots of a 1-D defect on both branches of the quadratic.
 
+    ``g(x, branch)`` is the defect at points ``x`` on branch +1 or -1 (arrays
+    that broadcast), NaN where it is undefined.  Every sign change between
+    finite neighbours of ``grid`` is bisected 90 times, all brackets of both
+    branches at once; a bracket stops where ``g`` is undefined, or once it is
+    one ulp wide, where further halvings change nothing.  Then come the grid
+    points where |g| dips locally, at most 8 per branch, smallest first:
+    tangent roots (double roots of the reduced system, e.g. where the two
+    quadratic branches coincide) produce no sign change, only a dip, and are
+    handed to Newton as extra seeds.
 
-def _local_min_args(grid, values, keep=8):
-    """Grid points where |defect| dips locally.
-
-    Tangent roots (double roots of the reduced system, e.g. where the two
-    quadratic branches coincide) produce no sign change, only a dip; those
-    points are handed to Newton as extra seeds.
+    Returns ``(x, branch)`` arrays: branch +1 first, then -1, each with its
+    bisected roots in grid order followed by its dips.
     """
-    mags = np.where(np.isfinite(values), np.abs(values), math.inf)
-    hits = []
-    for i in range(len(grid)):
-        left = mags[i - 1] if i > 0 else math.inf
-        right = mags[i + 1] if i < len(grid) - 1 else math.inf
-        if math.isfinite(mags[i]) and mags[i] <= left and mags[i] <= right:
-            hits.append((mags[i], grid[i]))
-    hits.sort(key=lambda t: t[0])
-    return [x for _, x in hits[:keep]]
+    vals = g(grid, _BRANCHES)
+    finite = np.isfinite(vals)
+    row, at = np.nonzero(finite[:, :-1] & finite[:, 1:] & ((vals[:, :-1] > 0) != (vals[:, 1:] > 0)))
+    branch = _BRANCHES[row, 0]
+    lo, hi, g_lo = grid[at], grid[at + 1], vals[row, at]
+    live = np.ones(at.size, dtype=bool)
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        live &= (mid != lo) & (mid != hi)
+        if not live.any():
+            break
+        g_mid = g(mid, branch)
+        live &= np.isfinite(g_mid)
+        same = live & ((g_mid > 0) == (g_lo > 0))
+        lo = np.where(same, mid, lo)
+        g_lo = np.where(same, g_mid, g_lo)
+        hi = np.where(live & ~same, mid, hi)
+    roots = 0.5 * (lo + hi)
+
+    mags = np.where(finite, np.abs(vals), math.inf)
+    edge = np.full((len(_BRANCHES), 1), math.inf)
+    dip = finite & (mags <= np.hstack([edge, mags[:, :-1]])) & (mags <= np.hstack([mags[:, 1:], edge]))
+    xs, branches = [], []
+    for j, sign in enumerate(_BRANCHES[:, 0]):
+        dips = np.flatnonzero(dip[j])
+        dips = dips[np.argsort(mags[j, dips], kind="stable")[:8]]
+        xs += [roots[row == j], grid[dips]]
+        branches.append(np.full(np.count_nonzero(row == j) + dips.size, sign))
+    return np.concatenate(xs), np.concatenate(branches)
 
 
-def _gld_seed_scan(m1: float, m2: float, m3: float) -> list[tuple[float, float, float]]:
+def _gld_seed_scan(m1: float, m2: float, m3: float) -> np.ndarray:
     """Candidate generalized-family roots from a scale-free 1-D reduction.
 
     With w = c/(c+b), the raw moments satisfy  b*m1 = a + w,
@@ -315,38 +363,32 @@ def _gld_seed_scan(m1: float, m2: float, m3: float) -> list[tuple[float, float, 
     r3 = m3 / (m1 * m2)
     half = np.geomspace(1e-11, 0.5, 4000)
     ws = np.unique(np.concatenate([half, 1.0 - half]))
+    aa = 1.0 - r2
+    if abs(aa) < 1e-300:
+        return np.empty((0, 3))
 
     def a_of_w(w, branch):
-        aa = 1.0 - r2
         bb = 1.0 + 2.0 * w - 2.0 * r2 * w
         cc = 2.0 * w - r2 * w * w
         disc = bb * bb - 4.0 * aa * cc
-        if disc < 0 or abs(aa) < 1e-300:
-            return None
-        a = (-bb + branch * math.sqrt(disc)) / (2.0 * aa)
-        return a if a > 0 else None
+        a = (-bb + branch * np.sqrt(np.where(disc < 0, np.nan, disc))) / (2.0 * aa)
+        return np.where(a > 0, a, np.nan)
 
-    seeds = []
-    for branch in (1.0, -1.0):
-        def g(w):
-            a = a_of_w(w, branch)
-            if a is None:
-                return None
-            return (a + 2.0) * (a + 3.0 * w) / ((a + w) * (a + 2.0 * w)) - r3
+    def g(w, branch):
+        a = a_of_w(w, branch)
+        return (a + 2.0) * (a + 3.0 * w) / ((a + w) * (a + 2.0 * w)) - r3
 
-        vals = np.array([v if (v := g(w)) is not None else math.nan for w in ws])
-        for w_root in _sign_change_roots(ws, vals, g) + _local_min_args(ws, vals):
-            a = a_of_w(w_root, branch)
-            if a is None:
-                continue
-            b = (a + w_root) / m1
-            c = b * w_root / (1.0 - w_root)
-            if b > 0 and c > 0 and math.isfinite(c):
-                seeds.append((a, b, c))
-    return seeds
+    # overflow and negative discriminants become NaN defects, which the scan skips
+    with np.errstate(all="ignore"):
+        w, branch = _scan_seeds(g, ws)
+        a = a_of_w(w, branch)
+        b = (a + w) / m1
+        c = b * w / (1.0 - w)
+        keep = (b > 0) & (c > 0) & np.isfinite(c)
+    return np.column_stack([a, b, c])[keep]
 
 
-def _ngld_seed_scan(m1: float, m2: float, m3: float) -> list[tuple[float, float, float]]:
+def _ngld_seed_scan(m1: float, m2: float, m3: float) -> np.ndarray:
     """Candidate new-generalized-family roots from a 1-D scan in c.
 
     The moment equations give  b = c[(1+c) m1 - a]  and a quadratic for a at
@@ -354,51 +396,33 @@ def _ngld_seed_scan(m1: float, m2: float, m3: float) -> list[tuple[float, float,
     """
     cs = np.geomspace(1e-6, 1e6, 12000)
 
-    def a_of_c(c, branch):
+    def a_b_of_c(c, branch):
         tt = (1.0 + c) * m1
         aa = 1.0 + c
         bb = -2.0 * c * tt
         cc = c * tt * tt + tt - (1.0 + c) * c * m2
         disc = bb * bb - 4.0 * aa * cc
-        if disc < 0:
-            return None
-        a = (-bb + branch * math.sqrt(disc)) / (2.0 * aa)
-        if a <= 0:
-            return None
+        a = (-bb + branch * np.sqrt(np.where(disc < 0, np.nan, disc))) / (2.0 * aa)
+        a = np.where(a > 0, a, np.nan)
         b = c * (tt - a)
-        if b <= 0:
-            return None
-        return a, b
+        b = np.where(b > 0, b, np.nan)
+        return np.where(np.isnan(b), np.nan, a), b
 
-    seeds = []
-    for branch in (1.0, -1.0):
-        def g(c):
-            ab = a_of_c(c, branch)
-            if ab is None:
-                return None
-            a, b = ab
-            return (
-                c * a * (a + 1.0) * (a + 2.0)
-                + b * (b + 1.0) * (b + 2.0)
-                - (1.0 + c) * c**3 * m3
-            )
+    def g(c, branch):
+        a, b = a_b_of_c(c, branch)
+        return c * a * (a + 1.0) * (a + 2.0) + b * (b + 1.0) * (b + 2.0) - (1.0 + c) * c**3 * m3
 
-        vals = np.array([v if (v := g(c)) is not None else math.nan for c in cs])
-        for c_root in _sign_change_roots(cs, vals, g) + _local_min_args(cs, vals):
-            ab = a_of_c(c_root, branch)
-            if ab is not None:
-                seeds.append((ab[0], ab[1], c_root))
-    return seeds
+    # overflow and negative discriminants become NaN defects, which the scan skips
+    with np.errstate(all="ignore"):
+        c, branch = _scan_seeds(g, cs)
+        a, b = a_b_of_c(c, branch)
+    return np.column_stack([a, b, c])[~np.isnan(b)]
 
 
-def _collect_roots(fun, targets, starts):
+def _collect_roots(results):
     roots = []
     best_residual = math.inf
-    for p0 in starts:
-        out = _newton(fun, targets, np.asarray(p0, dtype=float))
-        if out is None:
-            continue
-        p, raw, iters = out
+    for _, p, raw, iters in results:
         res = float(np.max(np.abs(raw)))
         best_residual = min(best_residual, res)
         if res <= NEWTON_TOL and np.all(p > 0):
@@ -427,6 +451,10 @@ def _select_root(roots):
     return min(keep, key=lambda r: (r[0][-1],) + tuple(r[0][:-1]))
 
 
+def _grid(k: int) -> np.ndarray:
+    return np.array(list(itertools.product(_GRID_AXIS, repeat=k)))
+
+
 def estimate_two_param(family, t: MomentTargets) -> SolveReport:
     """Solve {mean = xbar, variance = s2} for the power or new-weighted family.
 
@@ -438,14 +466,9 @@ def estimate_two_param(family, t: MomentTargets) -> SolveReport:
     family = Family(family)
     if family not in (Family.PLD, Family.NWL):
         raise FamilyError(f"estimate_two_param handles pld and nwl, got {family.value}")
-    fun = _MOMENT_FUNS[family]
     targets = np.array([t.xbar, t.s2])
     best_residual = math.inf
-    for p0 in itertools.product(_GRID_AXIS, repeat=2):
-        out = _newton(fun, targets, np.asarray(p0))
-        if out is None:
-            continue
-        p, raw, iters = out
+    for _, p, raw, iters in _multistart(_moment_map(family), targets, _grid(2), first_hit=True):
         res = float(np.max(np.abs(raw)))
         best_residual = min(best_residual, res)
         if res <= NEWTON_TOL and np.all(p > 0):
@@ -459,6 +482,26 @@ def estimate_two_param(family, t: MomentTargets) -> SolveReport:
         f"{family.value} moment solve failed from every start (best residual {best_residual:.3g})",
         best_residual=best_residual,
     )
+
+
+def _three_param_roots(family: Family, t: MomentTargets):
+    """Distinct converged roots of the three-moment system, and the best residual seen.
+
+    Starts come from the family's seed scan; the coarse grid is the fallback
+    when no scan seed converges.
+    """
+    moments = _moment_map(family)
+    targets = np.array([t.xbar, t.s2, t.xbar3])
+    m1 = t.xbar
+    m2 = t.s2 + t.xbar * t.xbar
+    m3 = t.xbar3
+    scan = _gld_seed_scan(m1, m2, m3) if family is Family.GLD else _ngld_seed_scan(m1, m2, m3)
+    roots, best_residual = _collect_roots(_multistart(moments, targets, scan))
+    if not roots:
+        # dense-scan blind spot: fall back to the coarse grid
+        roots, grid_best = _collect_roots(_multistart(moments, targets, _grid(3)))
+        best_residual = min(best_residual, grid_best)
+    return roots, best_residual
 
 
 def estimate_three_param(family, t: MomentTargets) -> SolveReport:
@@ -475,19 +518,7 @@ def estimate_three_param(family, t: MomentTargets) -> SolveReport:
     family = Family(family)
     if family not in (Family.GLD, Family.NGLD):
         raise FamilyError(f"estimate_three_param handles gld and ngld, got {family.value}")
-    fun = _MOMENT_FUNS[family]
-    targets = np.array([t.xbar, t.s2, t.xbar3])
-    m1 = t.xbar
-    m2 = t.s2 + t.xbar * t.xbar
-    m3 = t.xbar3
-    scan = _gld_seed_scan(m1, m2, m3) if family is Family.GLD else _ngld_seed_scan(m1, m2, m3)
-    roots, best_residual = _collect_roots(fun, targets, scan)
-    if not roots:
-        # dense-scan blind spot: fall back to the coarse grid
-        roots, grid_best = _collect_roots(
-            fun, targets, itertools.product(_GRID_AXIS, repeat=3)
-        )
-        best_residual = min(best_residual, grid_best)
+    roots, best_residual = _three_param_roots(family, t)
     if not roots:
         raise EstimationError(
             f"{family.value} moment solve failed from every start (best residual {best_residual:.3g})",
@@ -538,14 +569,14 @@ def estimate_dtl(t: MomentTargets) -> SolveReport:
 
 
 _ESTIMATORS = {
-    Family.LINDLEY1: lambda t: estimate_lindley1(t),
-    Family.TPLD: lambda t: estimate_tpld(t),
-    Family.PLD: lambda t: estimate_two_param(Family.PLD, t),
-    Family.GLD: lambda t: estimate_three_param(Family.GLD, t),
-    Family.NGLD: lambda t: estimate_three_param(Family.NGLD, t),
-    Family.NWL: lambda t: estimate_two_param(Family.NWL, t),
-    Family.DTL: lambda t: estimate_dtl(t),
-    Family.LOGNORMAL: lambda t: estimate_lognormal(t),
+    Family.LINDLEY1: estimate_lindley1,
+    Family.TPLD: estimate_tpld,
+    Family.PLD: functools.partial(estimate_two_param, Family.PLD),
+    Family.GLD: functools.partial(estimate_three_param, Family.GLD),
+    Family.NGLD: functools.partial(estimate_three_param, Family.NGLD),
+    Family.NWL: functools.partial(estimate_two_param, Family.NWL),
+    Family.DTL: estimate_dtl,
+    Family.LOGNORMAL: estimate_lognormal,
 }
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -282,6 +283,56 @@ class TestMoments:
     def test_central_moments_family_error(self):
         with pytest.raises(FamilyError):
             lf.central_moments_34(lf.tpld(1.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "b,c",
+        [
+            (b, c)
+            for b in (None, -0.4, 0.0, 1.0, 1e-60, 1e40)
+            for c in np.geomspace(1e-150, 1e300, 46).tolist()
+            if b is None or b * c > -1.0
+        ],
+    )
+    def test_one_and_two_parameter_forms_against_mpmath(self, b, c):
+        # exact rational forms at 50 digits; compared wherever the true value
+        # is a normal double, and never an exception or a NaN elsewhere
+        spec = lf.lindley1(c) if b is None else lf.tpld(b, c)
+        with mpmath.workdps(50):
+            cc = mpmath.mpf(c)
+            # lindley1 is tpld with b = 1
+            bc = cc if b is None else mpmath.mpf(b) * cc
+            want_mean = (bc + 2) / (cc * (bc + 1))
+            want_var = (bc * bc + 4 * bc + 2) / (cc * cc * (bc + 1) ** 2)
+            pairs = [(lf.mean(spec), want_mean), (lf.variance(spec), want_var)]
+            if b is None and c < 1e100:
+                mu3 = (2 * cc**3 + 12 * cc**2 + 12 * cc + 4) / (cc**3 * (1 + cc) ** 3)
+                mu4 = (9 * cc**4 + 72 * cc**3 + 132 * cc**2 + 96 * cc + 24) / (cc**4 * (1 + cc) ** 4)
+                pairs += zip(lf.central_moments_34(spec), (mu3, mu4))
+            for got, want in pairs:
+                assert not math.isnan(got)
+                if 2.2250738585072014e-308 <= abs(want) <= 1.7e308:
+                    assert got == pytest.approx(float(want), rel=1e-13), (got, want)
+
+    @pytest.mark.parametrize(
+        "spec,what",
+        [
+            (lf.pld(2.0, 0.001), "variance"),
+            (lf.pld(0.5, 0.002), "mean"),
+            (lf.lindley1(1e-200), "raw_moment"),
+            (lf.tpld(0.5, 1e-200), "raw_moment"),
+            (lf.lognormal(1.0, 30.0), "variance"),
+        ],
+    )
+    def test_unrepresentable_moment_is_a_domain_error(self, spec, what):
+        # the true value overflows a double: a typed error, not inf, NaN or a bare OverflowError
+        with pytest.raises(DomainError):
+            lf.raw_moment(spec, 2) if what == "raw_moment" else getattr(lf, what)(spec)
+
+    def test_extreme_rates_named_in_the_overflow_report(self):
+        assert lf.variance(lf.lindley1(1e100)) == pytest.approx(1e-200, rel=1e-14)
+        assert lf.variance(lf.lindley1(1e160)) >= 0.0
+        assert lf.mean(lf.lindley1(1e200)) == pytest.approx(1e-200, rel=1e-14)
+        assert lf.variance(lf.tpld(1.0, 1e80)) == pytest.approx(1e-160, rel=1e-14)
 
 
 class TestMode:

@@ -1,7 +1,9 @@
+import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from lindleyfit.errors import (
     EstimationError,
     FamilyError,
     InfeasibleMomentsError,
+    LindleyFitError,
     NoSolutionError,
 )
 
@@ -68,6 +71,12 @@ class TestLindley1:
         r = est.estimate_lindley1(targets(xbar, 0.5))
         assert r.converged
         assert abs(lf.mean(r.spec) / xbar - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("xbar", [1e-300, 1e-200, 1e200, 1e300])
+    def test_converges_at_extreme_means(self, xbar):
+        r = est.estimate_lindley1(targets(xbar, 0.5))
+        assert r.converged
+        assert lf.mean(r.spec) == pytest.approx(xbar, rel=1e-15)
 
     @pytest.mark.parametrize("xbar", [5e-324, 1.7e308])
     def test_unrepresentable_root_is_no_solution(self, xbar):
@@ -284,3 +293,65 @@ class TestDispatch:
         t = est.targets_from_spec(lf.gld(2.0, 3.0, 0.5))
         r = est.estimate(Family.GLD, t)
         assert np.max(np.abs(r.residuals)) <= est.NEWTON_TOL
+
+
+MULTISTART = (Family.PLD, Family.NWL, Family.GLD, Family.NGLD)
+
+
+def test_batched_moment_maps_match_scalar_moments():
+    # every parameter vector the frozen root-selection fixture reports
+    fixture = json.loads((Path(__file__).parent / "data" / "root_selection.json").read_text())
+    for fam in MULTISTART:
+        entries = [e for e in fixture["entries"] if e["family"] == fam.value and e["params"]]
+        params = np.array([e["params"] for e in entries])
+        k = params.shape[1]
+        got = est._moment_map(fam)(params)
+        want = []
+        for p in params:
+            spec = lf.DistributionSpec(fam, p)
+            want.append([lf.mean(spec), lf.variance(spec), lf.raw_moment(spec, 3)][:k])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_seed_scans_match_the_scalar_loops():
+    # gld's defect has no power, so its array form is bit-identical to the
+    # loop; ngld's c**3 may round differently in numpy's power
+    fixture = json.loads((Path(__file__).parent / "data" / "root_selection.json").read_text())
+    for e in fixture["entries"][::5]:
+        if e["family"] not in ("gld", "ngld"):
+            continue
+        t = e["targets"]
+        m = (t["xbar"], t["s2"] + t["xbar"] ** 2, t["xbar3"])
+        if e["family"] == "gld":
+            want = np.reshape(ref.scalar_gld_seed_scan(*m), (-1, 3))
+            np.testing.assert_array_equal(est._gld_seed_scan(*m), want)
+        else:
+            want = np.reshape(ref.scalar_ngld_seed_scan(*m), (-1, 3))
+            np.testing.assert_allclose(est._ngld_seed_scan(*m), want, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from(MULTISTART),
+    log_xbar=st.floats(min_value=-200.0, max_value=math.log10(1e150)),
+    log_ratio=st.floats(min_value=-6.0, max_value=6.0),
+    log_skew=st.floats(min_value=-1.0, max_value=3.0),
+)
+def test_multistart_estimators_end_in_report_or_typed_error(family, log_xbar, log_ratio, log_skew):
+    # s2/xbar^2 = 10^log_ratio and m3/(m1 m2) = 10^log_skew; RuntimeWarnings
+    # are errors under the suite's warning filter, so none may leak
+    def pow10(e):  # inf past the largest double, where MomentTargets refuses it
+        return 10.0**e if e < 308.0 else math.inf
+
+    log_m2 = 2.0 * log_xbar + math.log10(1.0 + 10.0**log_ratio)
+    xbar = pow10(log_xbar)
+    s2 = pow10(log_ratio + 2.0 * log_xbar)
+    xbar3 = pow10(log_skew + log_xbar + log_m2)
+    try:
+        t = est.MomentTargets(xbar=xbar, s2=s2, xbar3=xbar3)
+        r = est.estimate(family, t)
+    except LindleyFitError:
+        return
+    assert isinstance(r, est.SolveReport)
+    assert r.converged
+    assert np.max(np.abs(r.residuals)) <= est.NEWTON_TOL

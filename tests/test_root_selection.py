@@ -1,0 +1,257 @@
+"""Frozen root selection of the multistart moment estimators.
+
+``data/root_selection.json`` maps moment targets to the outcome the
+estimators gave before the multistart solver was vectorised: the result
+type (``SolveReport`` or the error class), the chosen parameters and, for
+the three-parameter families, every distinct root the solver collected with
+its residual.  The targets come from three sources, all drawn here with
+numpy:
+
+* the criterion-3 draws of ``test_acceptance`` (same generator, same order);
+* the published anchors of ``test_acceptance``;
+* one sample per generating law of the fit benchmark (lindley1 mixture,
+  gld-shaped two-gamma mixture, lognormal, truncated Salpeter power law),
+  fitted by all four multistart families.
+
+A solver change must reproduce every stored result type, and the stored
+parameters at rel 1e-9 or, where larger, at the entry's ``rtol``: how far a
+1e-13 relative perturbation of the targets moves the parameters (through the
+inverse Jacobian of the moment map).  Below that level the parameters are
+set by rounding in the moment formulas, not by the targets -- e.g. the
+``nwl`` anchors with b = 0.008 and 0.0027.  For the three-parameter families
+every exact root (residual within 1e-13 of the target scale) found on one
+side must be among the roots of the other at rel 1e-8, and
+``_select_root`` must pick the stored choice from the stored roots, which
+pins the smallest-``c`` rule itself.
+
+With the root set and the rule both pinned, one difference is left open.
+When several exact roots share the targets, the best-residual class of
+``_select_root`` ranks residuals that are pure rounding, so which exact root
+it keeps can depend on the last bits of the moment evaluation.  There the
+reported root may differ from the stored one, provided both are exact.
+
+Regenerate the fixture (only on purpose, from the code to be frozen) with
+
+    PYTHONPATH=src python tests/test_root_selection.py
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import lindleyfit as lf
+from lindleyfit import estimation as est
+from lindleyfit.distributions import Family
+from lindleyfit.errors import LindleyFitError
+
+from conftest import random_spec
+from test_acceptance import TABLE_ANCHORS
+
+FIXTURE = Path(__file__).resolve().parent / "data" / "root_selection.json"
+MULTISTART = (Family.PLD, Family.NWL, Family.GLD, Family.NGLD)
+THREE_PARAM = {Family.GLD: lf.gld, Family.NGLD: lf.ngld}
+LAWS = ("lindley1", "gld-mix", "lognormal", "salpeter")
+GROUPS = [
+    (group, fam.value) for group in ("criterion3", "anchors", *(f"law-{law}" for law in LAWS)) for fam in MULTISTART
+]
+
+
+def criterion_3_specs(three_param_draws):
+    """The specs criterion 3 draws for the multistart families, in its order.
+
+    ``three_param_draws`` maps gld/ngld to how many triples the criterion
+    drew before it had 50 canonical ones.
+    """
+    rng = np.random.default_rng(107)
+    for fam in (Family.LINDLEY1, Family.TPLD, Family.DTL):
+        for _ in range(50):
+            random_spec(fam, rng)
+    specs = [random_spec(fam, rng) for fam in (Family.PLD, Family.NWL) for _ in range(50)]
+    for fam, maker in THREE_PARAM.items():
+        specs += [maker(*rng.uniform(0.5, 6.0, size=3)) for _ in range(three_param_draws[fam.value])]
+    return specs
+
+
+def _count_criterion_3_draws():
+    import reference_forms as ref
+
+    rng = np.random.default_rng(107)
+    for fam in (Family.LINDLEY1, Family.TPLD, Family.DTL, Family.PLD, Family.NWL):
+        for _ in range(50):
+            random_spec(fam, rng)
+    counts = {}
+    for fam, enum, mom in (
+        (Family.GLD, ref.gld_moment_roots, ref.gld_raw_moments),
+        (Family.NGLD, ref.ngld_moment_roots, ref.ngld_raw_moments),
+    ):
+        done = tried = 0
+        while done < 50 and tried < 600:
+            tried += 1
+            p = tuple(rng.uniform(0.5, 6.0, size=3))
+            done += ref.is_canonical_root(p, enum(*mom(*p)))
+        counts[fam.value] = tried
+    return counts
+
+
+def law_samples(n=2000):
+    """One sample per generating law of the fit benchmark, at fixed parameters."""
+    rng = np.random.default_rng(20260418)
+    c = 2.5
+    lindley = np.where(
+        rng.uniform(size=n) < c / (1.0 + c), rng.exponential(1.0 / c, n), rng.gamma(2.0, 1.0 / c, n)
+    )
+    a, b, c = 2.0, 3.0, 0.6
+    gld_mix = np.where(
+        rng.uniform(size=n) < b / (b + c), rng.gamma(a, 1.0 / b, n), rng.gamma(a + 1.0, 1.0 / b, n)
+    )
+    lognormal = 0.6 * np.exp(0.8 * rng.standard_normal(n))
+    alpha, x_l, x_u = 2.35, 0.1, 40.0
+    lo, hi = x_l ** (1.0 - alpha), x_u ** (1.0 - alpha)
+    salpeter = (lo + rng.uniform(size=n) * (hi - lo)) ** (1.0 / (1.0 - alpha))
+    return dict(zip(LAWS, (lindley, gld_mix, lognormal, salpeter)))
+
+
+def cases(three_param_draws):
+    """(group, family, targets) for every frozen fit."""
+    out = [("criterion3", s.family, est.targets_from_spec(s)) for s in criterion_3_specs(three_param_draws)]
+    for fam in MULTISTART:
+        specs = [lf.DistributionSpec(fam, p) for p in TABLE_ANCHORS[fam]]
+        out += [("anchors", fam, est.targets_from_spec(s)) for s in specs]
+    for law, masses in law_samples().items():
+        t = est.MomentTargets.from_summary(lf.summarize(lf.MassCatalog(law, masses)))
+        out += [(f"law-{law}", fam, t) for fam in MULTISTART]
+    return out
+
+
+def _targets_dict(t):
+    return {"xbar": t.xbar, "s2": t.s2, "xbar3": t.xbar3, "x_min": t.x_min, "x_max": t.x_max}
+
+
+def outcome(family, t):
+    """(result type, parameters or None) of one estimate."""
+    try:
+        r = est.estimate(family, t)
+    except LindleyFitError as exc:
+        return type(exc).__name__, None
+    return type(r).__name__, list(r.spec.params)
+
+
+def _moments(family, params):
+    spec = lf.DistributionSpec(family, params)
+    m = [lf.mean(spec), lf.variance(spec), lf.raw_moment(spec, 3)]
+    return np.array(m[: len(params)])
+
+
+def determinacy(family, params, targets):
+    """Largest relative parameter shift a 1e-13 relative change of the targets causes."""
+    p = np.array(params)
+    k = len(p)
+    jac = np.empty((k, k))
+    for j in range(k):
+        h = 1e-6 * p[j]
+        up, down = p.copy(), p.copy()
+        up[j] += h
+        down[j] -= h
+        jac[:, j] = (_moments(family, up) - _moments(family, down)) / (2.0 * h)
+    t = np.array([targets["xbar"], targets["s2"], targets["xbar3"]][:k])
+    return float(np.max(np.abs(np.linalg.inv(jac)) @ (1e-13 * np.abs(t)) / np.abs(p)))
+
+
+def _floor(targets):
+    """Rounding level of a residual: 1e-13 of the target scale."""
+    return 1e-13 * max(1.0, abs(targets["xbar"]), abs(targets["s2"]), abs(targets["xbar3"]))
+
+
+def _defect(family, params, targets):
+    t = np.array([targets["xbar"], targets["s2"], targets["xbar3"]])
+    return np.max(np.abs(_moments(family, params) - t[: len(params)]))
+
+
+def _exact_roots(roots, targets):
+    return [p for *p, res in roots if res <= _floor(targets)]
+
+
+def _rounding_tie(e, params):
+    """Stored and reported parameters both reproduce the targets to rounding level."""
+    fam = Family(e["family"])
+    floor = _floor(e["targets"])
+    worst = max(_defect(fam, params, e["targets"]), _defect(fam, e["params"], e["targets"]))
+    return fam in THREE_PARAM and worst <= floor
+
+
+def root_set(family, t):
+    """[a, b, c, residual] of every distinct root the solver collects."""
+    roots, _ = est._three_param_roots(family, t)
+    return [[float(x) for x in q[0]] + [float(q[3])] for q in roots]
+
+
+def _load():
+    return json.loads(FIXTURE.read_text())
+
+
+@pytest.fixture(scope="module")
+def drawn():
+    return cases(_load()["three_param_draws"])
+
+
+def test_fixture_targets_are_the_draws(drawn):
+    entries = _load()["entries"]
+    assert len(entries) == len(drawn)
+    for e, (group, fam, t) in zip(entries, drawn):
+        assert (e["group"], e["family"]) == (group, fam.value)
+        for key, value in _targets_dict(t).items():
+            assert value == pytest.approx(e["targets"][key], rel=1e-12, abs=0.0), (e, key)
+
+
+def test_selection_rule_is_frozen():
+    # the stored choice is what _select_root makes of the stored roots
+    for e in _load()["entries"]:
+        if e.get("roots") and e["outcome"] == "SolveReport":
+            roots = [(np.array(r[:3]), None, None, r[3]) for r in e["roots"]]
+            assert list(est._select_root(roots)[0]) == e["params"], e
+
+
+@pytest.mark.parametrize("group,family", GROUPS, ids=lambda v: v)
+def test_root_selection_is_frozen(group, family):
+    checked = 0
+    for e in _load()["entries"]:
+        if (e["group"], e["family"]) != (group, family):
+            continue
+        checked += 1
+        t = est.MomentTargets(**e["targets"])
+        if "roots" in e:
+            # an exact root on either side is a root on the other
+            stored, found = e["roots"], root_set(Family(family), t)
+            for mine, other in ((stored, found), (found, stored)):
+                for p in _exact_roots(mine, e["targets"]):
+                    assert any(np.allclose(p, q[:3], rtol=1e-8, atol=0.0) for q in other), (p, e)
+        kind, params = outcome(Family(family), t)
+        assert kind == e["outcome"], e
+        if params is None:
+            continue
+        if not np.allclose(params, e["params"], rtol=e["rtol"], atol=0.0):
+            assert _rounding_tie(e, params), (params, e)
+    assert checked
+
+
+def _write_fixture():
+    draws = _count_criterion_3_draws()
+    entries = []
+    for group, fam, t in cases(draws):
+        kind, params = outcome(fam, t)
+        entry = {
+            "group": group, "family": fam.value, "targets": _targets_dict(t), "outcome": kind, "params": params,
+        }
+        if params is not None:
+            entry["rtol"] = max(1e-9, determinacy(fam, params, entry["targets"]))
+        if fam in THREE_PARAM:
+            entry["roots"] = root_set(fam, t)
+        entries.append(entry)
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(json.dumps({"three_param_draws": draws, "entries": entries}, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    _write_fixture()
