@@ -27,6 +27,7 @@ import numpy as np
 from . import distributions as dist
 from .distributions import DistributionSpec, Family
 from .errors import (
+    DomainError,
     EstimationError,
     FamilyError,
     InfeasibleMomentsError,
@@ -533,8 +534,40 @@ def estimate_three_param(family, t: MomentTargets) -> SolveReport:
     )
 
 
+def _dtl_flat_mean(x_l: float, x_u: float) -> float:
+    """Mean of the density proportional to 1 + x on [x_l, x_u], the c -> 0+ limit of dtl.
+
+    With h = (x_l + x_u)/2 it is (h + (x_u^2 + x_u x_l + x_l^2)/3) / (1 + h),
+    written as h/(1 + h) (1 + x_u g) with g = 2(1 + a + a^2) / (3(1 + a)) and
+    a = x_l/x_u, so that no term overflows.
+    """
+    a = x_l / x_u
+    h = 0.5 * x_u + 0.5 * x_l
+    g = 2.0 * (1.0 + a + a * a) / (3.0 * (1.0 + a))
+    return h / (1.0 + h) * (1.0 + x_u * g)
+
+
+_DTL_MAX_STEPS = 100
+
+
 def estimate_dtl(t: MomentTargets) -> SolveReport:
-    """Truncation bounds from the order statistics, then a 1-D solve for c."""
+    """Truncation bounds from the order statistics, then c from the mean match by bracketed Newton.
+
+    The density is proportional to (1 + x) e^{-cx} on [x_l, x_u], an exponential
+    family in c, so d mean/dc = -variance exactly and one mean/variance
+    evaluation gives both the defect and its slope.  The mean falls strictly
+    from mu0 = mean of (1 + x) on the window (c -> 0+) to x_l (c -> inf), so
+    the attainable means are exactly (x_l, mu0) and the root is unique.  The
+    bracket comes in closed form and scales with the masses: the variance on
+    the window is at most w^2/4 (w = x_u - x_l), so mean(c) >= mu0 - c w^2/4
+    and lo = 4 (mu0 - xbar)/w^2 has mean >= xbar; truncation at x_u lowers the
+    mean at every c, so hi, the root for the untruncated window [x_l, inf),
+    has mean < xbar.  Newton starts at hi, which is the root itself when the
+    window is wide.  A Newton step is taken when it lands strictly inside the
+    bracket, else the geometric midpoint (the arithmetic one once hi < 4 lo);
+    every evaluation shrinks the bracket, and the solve stops at a step below
+    4 ulp of c.  ``iterations`` counts the steps.
+    """
     if not (t.x_min < t.x_max):
         raise InfeasibleMomentsError(
             f"degenerate support: x_min={t.x_min} must be < x_max={t.x_max}"
@@ -543,28 +576,49 @@ def estimate_dtl(t: MomentTargets) -> SolveReport:
         raise InfeasibleMomentsError(
             f"need 0 <= x_min <= xbar <= x_max, got {t.x_min}, {t.xbar}, {t.x_max}"
         )
-    x_l, x_u = t.x_min, t.x_max
-
-    def defect(c):
-        return dist.mean(dist.dtl(c, x_l, x_u)) - t.xbar
-
-    lo, hi = 1e-6, 1e3
-    d_lo, d_hi = defect(lo), defect(hi)
-    if d_lo * d_hi > 0:
+    x_l, x_u, xbar = t.x_min, t.x_max, t.xbar
+    mu0 = _dtl_flat_mean(x_l, x_u)
+    if not (x_l < xbar < mu0):
         raise NoSolutionError(
-            f"mean {t.xbar} is outside the attainable truncated-mean range "
-            f"[{dist.mean(dist.dtl(hi, x_l, x_u)):.6g}, {dist.mean(dist.dtl(lo, x_l, x_u)):.6g}]",
-            best_residual=min(abs(d_lo), abs(d_hi)),
+            f"mean {xbar} is outside the attainable truncated-mean range ({x_l:.6g}, {mu0:.6g})",
+            best_residual=max(xbar - mu0, x_l - xbar),
         )
-    from scipy import optimize  # the only user; imported here to keep the package import light
-
-    c_hat, res = optimize.brentq(defect, lo, hi, xtol=1e-14, rtol=8.9e-16, full_output=True)
-    residual = defect(c_hat)
+    # hi: the root on the untruncated window [x_l, inf), where the mean is
+    # x_l + (ac + 2)/(c(ac + 1)) with a = 1 + x_l, i.e. the positive root of
+    # a d c^2 + (d - a) c - 2 = 0; truncation lowers the mean at every c
+    a, d, w = 1.0 + x_l, xbar - x_l, x_u - x_l
+    r = math.hypot(a - d, math.sqrt(8.0 * a) * math.sqrt(d))
+    hi = (a - d + r) / a / d / 2.0 if a >= d else 4.0 / (d - a + r)
+    lo = 4.0 * ((mu0 - xbar) / w) / w
+    if not (0.0 < lo and hi < math.inf):
+        raise NoSolutionError(f"the root c for mean {xbar} on [{x_l}, {x_u}] is not a finite positive float")
+    mean_variance = dist._MEAN_VARIANCE[Family.DTL]
+    c = hi
+    for steps in range(1, _DTL_MAX_STEPS + 1):
+        try:
+            mu, var = mean_variance(c, x_l, x_u)
+        except OverflowError:
+            mu = var = math.inf
+        if not (math.isfinite(mu) and math.isfinite(var)):
+            raise DomainError(f"the mean and variance of {dist.dtl(c, x_l, x_u)} are not finite doubles")
+        residual = mu - xbar
+        if residual > 0:
+            lo = c
+        elif residual < 0:
+            hi = c
+        else:
+            break
+        c_next = c + residual / var if var > 0 else math.inf
+        if not (lo < c_next < hi):
+            c_next = math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo else 0.5 * (lo + hi)
+        if abs(c_next - c) <= 4.0 * math.ulp(c):
+            break
+        c = c_next
     return SolveReport(
-        spec=dist.dtl(c_hat, x_l, x_u),
+        spec=dist.dtl(c, x_l, x_u),
         residuals=np.array([residual]),
-        iterations=res.iterations,
-        converged=bool(res.converged and abs(residual) <= NEWTON_TOL),
+        iterations=steps,
+        converged=bool(abs(residual) <= NEWTON_TOL * xbar),
     )
 
 

@@ -1,19 +1,22 @@
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import lindleyfit as lf
 import reference_forms as ref
-from lindleyfit import estimation as est
+from lindleyfit import estimation as est, specfun
 from lindleyfit.distributions import Family
 from lindleyfit.errors import (
+    DomainError,
     EstimationError,
     FamilyError,
     InfeasibleMomentsError,
@@ -85,13 +88,38 @@ class TestLindley1:
             est.estimate_lindley1(targets(xbar, 0.5))
 
 
-def test_import_leaves_scipy_optimize_unloaded():
+def _fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this checkout's package."""
     src = os.path.dirname(os.path.dirname(lf.__file__))
-    code = "import sys, lindleyfit; print([m for m in sys.modules if m.startswith('scipy.optimize')])"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, lindleyfit; print([m for m in sys.modules if m.startswith('scipy.optimize')])"
+    proc = _fresh_python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cold_fit_leaves_scipy_optimize_unloaded(tmp_path):
+    # a whole fit of every family, dtl included, in a fresh interpreter
+    masses = np.random.default_rng(1).gamma(2.0, 0.5, 200)
+    path = tmp_path / "cat.csv"
+    path.write_text("mass\n" + "\n".join(map(repr, masses.tolist())) + "\n")
+    out = tmp_path / "out"
+    code = (
+        "import sys\n"
+        "from lindleyfit import cli\n"
+        f"cli.main(['fit', '--input', {str(path)!r}, '--families', 'all', '--out', {str(out)!r}])\n"
+        "print([m for m in sys.modules if m.startswith('scipy.optimize')])\n"
+    )
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    fits = json.loads((out / "cat_fits.json").read_text())["fits"]
+    assert sorted(f["family"] for f in fits) == sorted(f.value for f in Family)
+    assert next(f for f in fits if f["family"] == "dtl")["converged"]
 
 
 class TestTpld:
@@ -239,6 +267,17 @@ class TestThreeParam:
             est.estimate_three_param(Family.PLD, targets(1.0, 0.5))
 
 
+# (x_l, x_u) windows for the dtl solver: three from x_l = 0, the table
+# anchor's, and some far from 0, where c x_l is deep in the right tail at
+# the larger rates; every (window, rate) pair has the mean move with c
+# (xbar / (c Var) <= 1e3), so rounding moves the root by less than 1e-12
+DTL_WINDOWS = [
+    (0.0, 0.5), (0.0, 3.0), (0.0, 60.0), (0.019, 1.46), (0.2, 2.5),
+    (0.08, 60.0), (2.0, 5.0), (3.0, 4.0), (10.0, 30.0), (0.5, 1e3),
+]
+DTL_RATES = [0.05, 0.3, 1.0, 2.71, 8.0, 25.0]
+
+
 class TestDtl:
     def test_table_anchor(self):
         t = est.targets_from_spec(lf.dtl(2.71, 0.019, 1.46))
@@ -261,6 +300,80 @@ class TestDtl:
         # mean almost at the upper bound needs c below the bracket
         with pytest.raises(NoSolutionError):
             est.estimate_dtl(targets(2.999999, 0.1, x_min=0.1, x_max=3.0))
+
+    @pytest.mark.parametrize("window", DTL_WINDOWS)
+    def test_matches_brentq(self, window):
+        from scipy import optimize
+
+        x_l, x_u = window
+        for c in DTL_RATES:
+            xbar = lf.mean(lf.dtl(c, x_l, x_u))
+            want = optimize.brentq(
+                lambda cc: lf.mean(lf.dtl(cc, x_l, x_u)) - xbar,
+                c / 4.0, c * 4.0, xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=500,
+            )
+            r = est.estimate_dtl(targets(xbar, 0.1, x_min=x_l, x_max=x_u))
+            assert r.converged
+            assert r.iterations <= 30
+            assert r.spec.params == pytest.approx((want, x_l, x_u), rel=1e-12, abs=0.0)
+
+    def test_grid_reaches_the_right_tail_form(self):
+        # deep right-tail windows take _dtl_phi_diff's exact tail sums
+        tails = [
+            (x_l, c) for (x_l, _), c in itertools.product(DTL_WINDOWS, DTL_RATES)
+            if x_l > 0 and specfun.regularized_gamma_p(2.0, c * x_l) > 0.5
+        ]
+        assert len(tails) >= 10
+
+    @pytest.mark.parametrize("unit", [1e-3, 1e5, 1e6, 1e8])
+    def test_mass_unit_does_not_matter(self, unit):
+        # a truncated Salpeter sample (slope 2.35 on [0.2, 40]) in other units
+        u = np.random.default_rng(7).uniform(size=800)
+        lo, hi = 0.2 ** -1.35, 40.0 ** -1.35
+        m = (lo + u * (hi - lo)) ** (-1.0 / 1.35) * unit
+        r = est.estimate_dtl(targets(float(np.mean(m)), 0.1, x_min=float(m.min()), x_max=float(m.max())))
+        assert r.converged
+        assert abs(lf.mean(r.spec) / np.mean(m) - 1.0) <= 1e-12
+
+    def test_unattainable_mean_names_the_interval(self):
+        # on [1, 3] the c -> 0+ mean is (2 + 13/3)/3 = 19/9
+        with pytest.raises(NoSolutionError, match=r"\(1, 2\.11111\)"):
+            est.estimate_dtl(targets(2.2, 0.1, x_min=1.0, x_max=3.0))
+        r = est.estimate_dtl(targets(2.1, 0.1, x_min=1.0, x_max=3.0))
+        assert r.converged
+
+    def test_unrepresentable_root_or_moments(self):
+        # c, about 1/(xbar - x_l), is past the largest double
+        with pytest.raises(NoSolutionError):
+            est.estimate_dtl(targets(5e-324, 1.0, x_min=0.0, x_max=2e-323))
+        # and the second moment of masses near 1e200 is past it
+        with pytest.raises(DomainError):
+            est.estimate_dtl(targets(5e200, 1.0, x_min=1e200, x_max=1e201))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sample=st.lists(st.floats(min_value=1e-2, max_value=1e2), min_size=2, max_size=40),
+        k=st.integers(min_value=-100, max_value=100),
+    )
+    def test_any_unit_ends_in_a_fit_or_no_solution(self, sample, k):
+        x = np.array(sample) * 10.0**k
+        x_l, x_u = float(x.min()), float(x.max())
+        assume(x_l < x_u)
+        xbar = min(max(math.fsum(x) / len(x), x_l), x_u)
+        # the c -> 0+ mean of (1 + x) on the window, exactly
+        fl, fu = Fraction(x_l), Fraction(x_u)
+        h = (fl + fu) / 2
+        mu0 = (h + (fu * fu + fu * fl + fl * fl) / 3) / (1 + h)
+        edge = abs(Fraction(xbar) / mu0 - 1) <= Fraction(1, 10**14)
+        try:
+            r = est.estimate_dtl(targets(xbar, 1.0, x_min=x_l, x_max=x_u))
+        except NoSolutionError:
+            # the interval's ends are known to rounding only
+            assert xbar <= x_l or xbar >= mu0 or edge
+            return
+        assert x_l < xbar < mu0 or edge
+        assert r.converged
+        assert abs(lf.mean(r.spec) / xbar - 1.0) <= 1e-12
 
 
 class TestLognormal:
