@@ -82,7 +82,14 @@ def bin_sample(masses, n_bins: int = 20) -> BinnedHistogram:
         raise DegenerateSampleError("binning needs at least two distinct values")
     if not isinstance(n_bins, (int, np.integer)) or n_bins < 2:
         raise DomainError(f"n_bins must be an integer >= 2, got {n_bins!r}")
-    counts, edges = np.histogram(masses, bins=int(n_bins), range=(masses.min(), masses.max()))
+    lo, hi = float(masses.min()), float(masses.max())
+    edges = np.linspace(lo, hi, int(n_bins) + 1)
+    if np.any(np.diff(edges) <= 0):
+        # the range is a few ulps wide, too narrow for n_bins distinct edges:
+        # widen it about the sample so every bin is at least one ulp wide
+        pad = int(n_bins) * np.spacing(max(abs(lo), abs(hi)))
+        edges = np.linspace(lo - pad, hi + pad, int(n_bins) + 1)
+    counts, edges = np.histogram(masses, bins=edges)
     return BinnedHistogram(edges=edges, counts=counts)
 
 

@@ -33,6 +33,13 @@ class TestBinning:
         hist = gof.bin_sample(masses, n_bins)
         assert hist.total == masses.size
 
+    @pytest.mark.parametrize("values", [[0.010000000000000002, 0.01], [1.0, np.nextafter(1.0, 2.0)]])
+    def test_range_of_a_few_ulps(self, values):
+        # too narrow for n_bins distinct edges over [min, max]: the range widens
+        hist = gof.bin_sample(np.array(values), 40)
+        assert hist.total == 2
+        assert hist.edges[0] <= min(values) and hist.edges[-1] >= max(values)
+
     def test_synthetic_sample_binning(self):
         draws = lf.sample(lf.lindley1(2.05), 271, 3)
         hist = gof.bin_sample(draws, 20)
