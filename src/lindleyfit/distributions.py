@@ -6,6 +6,12 @@ generalized (``gld``), new generalized (``ngld``) and new weighted (``nwl``)
 variants, the double truncated one-parameter form (``dtl``), and a lognormal
 baseline.
 
+``lindley1``, ``tpld``, ``gld`` and ``ngld`` are two-gamma mixtures with a
+shared rate.  Each maps its parameters to the mixture's weights, shapes and
+rate, and its density, distribution functions, moments and draws all come
+from that one map.  ``pld`` is ``lindley1`` at a power of x, and ``dtl``'s
+moments are those of a truncated exponential/gamma(2) mixture past ``x_l``.
+
 Shipped CDFs are written as compositions of regularized incomplete gamma
 functions (or plain exponential survival terms) rather than as the textbook
 single-expression forms, which cancel badly at large rate*x.  The textbook
@@ -24,6 +30,7 @@ explicit seed, so everything is safe for concurrent use.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -190,8 +197,46 @@ def support(spec: DistributionSpec) -> Support:
 
 
 # --------------------------------------------------------------------------
-# densities
+# two-gamma mixtures
 # --------------------------------------------------------------------------
+
+# lindley1, tpld, gld and ngld are each w1 Gamma(s1, rate) + w2 Gamma(s2, rate)
+# with w1 + w2 = 1.  Each family only maps its parameters to
+# (w1, w2, s1, s2, rate); the density, distribution functions, moments and
+# draws below are written once for all four.  The weights are written so that
+# neither cancels nor overflows; tpld's w1 is 1 - u rather than bc u, which is
+# NaN once bc overflows, and is negative when b < 0.  The maps take parameter
+# arrays as well, for the batched estimators.
+
+def _mixture_lindley1(c):
+    return c / (1.0 + c), 1.0 / (1.0 + c), 1.0, 2.0, c
+
+
+def _mixture_tpld(b, c):
+    u = 1.0 / (b * c + 1.0)
+    return 1.0 - u, u, 1.0, 2.0, c
+
+
+def _mixture_gld(a, b, c):
+    return c / (c + b), b / (c + b), a + 1.0, a, b
+
+
+def _mixture_ngld(a, b, c):
+    return c / (1.0 + c), 1.0 / (1.0 + c), a, b, c
+
+
+_MIXTURES = {
+    Family.LINDLEY1: _mixture_lindley1,
+    Family.TPLD: _mixture_tpld,
+    Family.GLD: _mixture_gld,
+    Family.NGLD: _mixture_ngld,
+}
+
+
+def _per_mixture(form) -> dict:
+    """``form(mix, ...)`` bound to each mixture family's map, keyed by family."""
+    return {fam: functools.partial(form, mix) for fam, mix in _MIXTURES.items()}
+
 
 def _gamma_pdf_arr(x: np.ndarray, shape: float, rate: float) -> np.ndarray:
     """Gamma(shape, rate) density with the correct x = 0 limits."""
@@ -212,23 +257,66 @@ def _gamma_pdf_arr(x: np.ndarray, shape: float, rate: float) -> np.ndarray:
     return out
 
 
-def _pdf_lindley1(x, c):
-    out = np.zeros_like(x)
-    m = x >= 0.0
-    xm = x[m]
-    out[m] = c * c * (xm + 1.0) * np.exp(-c * xm) / (1.0 + c)
+def _pdf_mixture(mix, x, *params):
+    w1, w2, s1, s2, rate = mix(*params)
+    return w1 * _gamma_pdf_arr(x, s1, rate) + w2 * _gamma_pdf_arr(x, s2, rate)
+
+
+def _mixture_sum(reg_gamma, at_zero: float, weights, x):
+    """w1 R(s1, rate x) + w2 R(s2, rate x) for R = P or Q; ``at_zero`` for x <= 0."""
+    w1, w2, s1, s2, rate = weights
+    out = np.full_like(x, at_zero)
+    m = x > 0.0
+    z = rate * x[m]
+    out[m] = w1 * reg_gamma(s1, z) + w2 * reg_gamma(s2, z)
+    # a signed density (tpld with b < 0) keeps its signed distribution functions
+    return np.clip(out, 0.0, 1.0) if w1 >= 0.0 and w2 >= 0.0 else out
+
+
+def _cdf_mixture(mix, x, *params):
+    return _mixture_sum(specfun.reg_gamma_p_arr, 0.0, mix(*params), x)
+
+
+def _sf_mixture(mix, x, *params):
+    return _mixture_sum(specfun.reg_gamma_q_arr, 1.0, mix(*params), x)
+
+
+def _rising(x, n: int):
+    """x (x+1) ... (x+n-1), which is Gamma(x+n) / Gamma(x) for an integer n >= 0."""
+    out = x if n else 1.0
+    for k in range(1, n):
+        out = out * (x + k)
     return out
 
 
-def _pdf_tpld(x, b, c):
-    # For b < 0 (allowed while b*c > -1) the density is signed near 0;
-    # the published fits use such vectors, so no clamping is applied.
-    out = np.zeros_like(x)
-    m = x >= 0.0
-    xm = x[m]
-    out[m] = c * c * (b + xm) * np.exp(-c * xm) / (b * c + 1.0)
-    return out
+def _raw_moment_mixture(mix, r, *params):
+    # times rate**-r, so a tiny rate raises OverflowError instead of dividing by 0
+    w1, w2, s1, s2, rate = mix(*params)
+    return (w1 * _rising(s1, r) + w2 * _rising(s2, r)) * rate ** -r
 
+
+def _mean_variance_mixture(mix, *params):
+    # law of total variance: the within-component part w1 s1 + w2 s2 plus the
+    # between-component part w1 w2 (s1 - s2)^2, all over rate^2
+    w1, w2, s1, s2, rate = mix(*params)
+    m = w1 * s1 + w2 * s2
+    return m / rate, (m + w1 * w2 * (s1 - s2) * (s1 - s2)) / rate / rate
+
+
+def _sample_mixture(mix, rng, n, *params):
+    w1, w2, s1, s2, rate = mix(*params)
+    if w1 < 0.0 or w2 < 0.0:
+        # only tpld with b < 0 has a negative weight
+        raise DomainError(f"tpld with b < 0 has a signed density and cannot be sampled, got b={params[0]}")
+    pick = rng.uniform(size=n)
+    first = rng.gamma(s1, 1.0 / rate, size=n)
+    second = rng.gamma(s2, 1.0 / rate, size=n)
+    return np.where(pick < w1, first, second)
+
+
+# --------------------------------------------------------------------------
+# densities
+# --------------------------------------------------------------------------
 
 def _pdf_pld(x, b, c):
     out = np.zeros_like(x)
@@ -256,14 +344,6 @@ def _pdf_pld(x, b, c):
         elif c == 1.0:
             out[zero] = b * b / (b + 1.0)
     return out
-
-
-def _pdf_gld(x, a, b, c):
-    return (c * _gamma_pdf_arr(x, a + 1.0, b) + b * _gamma_pdf_arr(x, a, b)) / (c + b)
-
-
-def _pdf_ngld(x, a, b, c):
-    return (c * _gamma_pdf_arr(x, a, c) + _gamma_pdf_arr(x, b, c)) / (1.0 + c)
 
 
 def _pdf_nwl(x, b, c):
@@ -294,11 +374,8 @@ def _pdf_lognormal(x, m, sigma):
 
 
 _PDF = {
-    Family.LINDLEY1: _pdf_lindley1,
-    Family.TPLD: _pdf_tpld,
+    **_per_mixture(_pdf_mixture),
     Family.PLD: _pdf_pld,
-    Family.GLD: _pdf_gld,
-    Family.NGLD: _pdf_ngld,
     Family.NWL: _pdf_nwl,
     Family.DTL: _pdf_dtl,
     Family.LOGNORMAL: _pdf_lognormal,
@@ -309,47 +386,11 @@ _PDF = {
 # CDFs (incomplete-gamma compositions) and survival functions
 # --------------------------------------------------------------------------
 
-def _cdf_lindley1(x, c):
-    out = np.zeros_like(x)
-    m = x > 0.0
-    z = c * x[m]
-    out[m] = (specfun.reg_gamma_p_arr(2.0, z) + c * specfun.reg_gamma_p_arr(1.0, z)) / (1.0 + c)
-    return np.clip(out, 0.0, 1.0)
-
-
-def _cdf_tpld(x, b, c):
-    out = np.zeros_like(x)
-    m = x > 0.0
-    z = c * x[m]
-    out[m] = (b * c * specfun.reg_gamma_p_arr(1.0, z) + specfun.reg_gamma_p_arr(2.0, z)) / (b * c + 1.0)
-    if b >= 0.0:
-        out = np.clip(out, 0.0, 1.0)
-    return out
-
-
-def _cdf_pld(x, b, c):
-    out = np.zeros_like(x)
-    m = x > 0.0
+def _at_power(form, x, b, c):
+    """The pld cdf or sf: ``form`` of lindley1(b) at x**c."""
     with np.errstate(over="ignore"):
-        z = b * x[m] ** c
-    out[m] = (specfun.reg_gamma_p_arr(2.0, z) + b * specfun.reg_gamma_p_arr(1.0, z)) / (1.0 + b)
-    return np.clip(out, 0.0, 1.0)
-
-
-def _cdf_gld(x, a, b, c):
-    out = np.zeros_like(x)
-    m = x > 0.0
-    z = b * x[m]
-    out[m] = (c * specfun.reg_gamma_p_arr(a + 1.0, z) + b * specfun.reg_gamma_p_arr(a, z)) / (c + b)
-    return np.clip(out, 0.0, 1.0)
-
-
-def _cdf_ngld(x, a, b, c):
-    out = np.zeros_like(x)
-    m = x > 0.0
-    z = c * x[m]
-    out[m] = (c * specfun.reg_gamma_p_arr(a, z) + specfun.reg_gamma_p_arr(b, z)) / (1.0 + c)
-    return np.clip(out, 0.0, 1.0)
+        t = np.maximum(x, 0.0) ** c
+    return form(_mixture_lindley1, t, b)
 
 
 def _cdf_nwl(x, b, c):
@@ -387,60 +428,12 @@ def _cdf_lognormal(x, m, sigma):
 
 
 _CDF = {
-    Family.LINDLEY1: _cdf_lindley1,
-    Family.TPLD: _cdf_tpld,
-    Family.PLD: _cdf_pld,
-    Family.GLD: _cdf_gld,
-    Family.NGLD: _cdf_ngld,
+    **_per_mixture(_cdf_mixture),
+    Family.PLD: functools.partial(_at_power, _cdf_mixture),
     Family.NWL: _cdf_nwl,
     Family.DTL: _cdf_dtl,
     Family.LOGNORMAL: _cdf_lognormal,
 }
-
-
-def _sf_lindley1(x, c):
-    out = np.ones_like(x)
-    m = x > 0.0
-    xm = x[m]
-    out[m] = np.exp(-c * xm) * (1.0 + c + c * xm) / (1.0 + c)
-    return out
-
-
-def _sf_tpld(x, b, c):
-    out = np.ones_like(x)
-    m = x > 0.0
-    xm = x[m]
-    out[m] = (b * c + c * xm + 1.0) * np.exp(-c * xm) / (b * c + 1.0)
-    return out
-
-
-def _sf_pld(x, b, c):
-    out = np.ones_like(x)
-    m = x > 0.0
-    with np.errstate(over="ignore"):
-        t = x[m] ** c
-    v = np.zeros_like(t)
-    live = np.isfinite(t)
-    tf = t[live]
-    v[live] = (b * tf + b + 1.0) * np.exp(-b * tf) / (b + 1.0)
-    out[m] = v
-    return out
-
-
-def _sf_gld(x, a, b, c):
-    out = np.ones_like(x)
-    m = x > 0.0
-    z = b * x[m]
-    out[m] = (c * specfun.reg_gamma_q_arr(a + 1.0, z) + b * specfun.reg_gamma_q_arr(a, z)) / (c + b)
-    return out
-
-
-def _sf_ngld(x, a, b, c):
-    out = np.ones_like(x)
-    m = x > 0.0
-    z = c * x[m]
-    out[m] = (c * specfun.reg_gamma_q_arr(a, z) + specfun.reg_gamma_q_arr(b, z)) / (1.0 + c)
-    return out
 
 
 def _sf_nwl(x, b, c):
@@ -477,11 +470,8 @@ def _sf_lognormal(x, m, sigma):
 
 
 _SF = {
-    Family.LINDLEY1: _sf_lindley1,
-    Family.TPLD: _sf_tpld,
-    Family.PLD: _sf_pld,
-    Family.GLD: _sf_gld,
-    Family.NGLD: _sf_ngld,
+    **_per_mixture(_sf_mixture),
+    Family.PLD: functools.partial(_at_power, _sf_mixture),
     Family.NWL: _sf_nwl,
     Family.DTL: _sf_dtl,
     Family.LOGNORMAL: _sf_lognormal,
@@ -527,72 +517,26 @@ def hazard(spec: DistributionSpec, x):
 # moments
 # --------------------------------------------------------------------------
 
-def _rising(x, n: int):
-    """x (x+1) ... (x+n-1), which is Gamma(x+n) / Gamma(x) for an integer n >= 0."""
-    out = x if n else 1.0
-    for k in range(1, n):
-        out = out * (x + k)
-    return out
+def _dtl_shifted_moments(c: float, x_l: float, x_u: float, k: int) -> list[float]:
+    """E[Z^j] for j = 0..k, where Z = c (X - x_l).
 
-
-def _exp_partial_sum(n: int, z: float) -> float:
-    """sum_{k<n} z^k / k!; exp(-z) times this is the integer-shape gamma tail."""
-    term = 1.0
-    total = 1.0
-    for k in range(1, n):
-        term *= z / k
-        total += term
-    return total
-
-
-def _dtl_phi_diff(c: float, x_l: float, x_u: float, r: int) -> float:
-    """Difference of partial moment primitives for the truncated family.
-
-    Proportional to
-      Gamma(r+2) c^(-r) [P(r+2, c x_u) - P(r+2, c x_l)]
-        + Gamma(r+1) c^(1-r) [P(r+1, c x_u) - P(r+1, c x_l)].
-
-    Moment ratios only ever divide two of these, so a common positive factor
-    is irrelevant; each regime gets the subtraction that stays relatively
-    sharp there.  For windows in the body or left tail (small c x) the
-    regularized P keeps full relative precision; deep right-tail
-    windows (large c x, where both P's round to 1) instead use the exact
-    integer-shape tail polynomials with exp(-c x_l) cancelled analytically,
-    which never underflows.
+    Past x_l the density (1 + x) e^{-cx} is (c (1 + x_l) + z) e^{-z} in z, an
+    Exp(1) / Gamma(2) mixture in the ratio c (1 + x_l) : 1, here truncated to
+    [0, zw] with zw = c (x_u - x_l).  So E[Z^j] is proportional to
+    A j! P(j+1, zw) + (j+1)! P(j+2, zw) with A = c (1 + x_l), a sum of
+    positive terms: no difference of two incomplete gammas is taken.
     """
-    zl, zu = c * x_l, c * x_u
-    if zl > 0 and specfun.regularized_gamma_p(2.0, zl) > 0.5:
-        decay = math.exp(-(zu - zl))
-        d1 = _exp_partial_sum(r + 1, zl) - decay * _exp_partial_sum(r + 1, zu)
-        d2 = _exp_partial_sum(r + 2, zl) - decay * _exp_partial_sum(r + 2, zu)
-    else:
-        pl1 = specfun.regularized_gamma_p(r + 1.0, zl) if zl > 0 else 0.0
-        pl2 = specfun.regularized_gamma_p(r + 2.0, zl) if zl > 0 else 0.0
-        d1 = specfun.regularized_gamma_p(r + 1.0, zu) - pl1
-        d2 = specfun.regularized_gamma_p(r + 2.0, zu) - pl2
-    return math.gamma(r + 2.0) * c ** (-float(r)) * d2 + math.gamma(r + 1.0) * c ** (1.0 - r) * d1
-
-
-def _raw_moment_lindley1(r, c):
-    return (c ** (-float(r)) * math.gamma(r + 2.0) + c ** (1.0 - r) * math.gamma(r + 1.0)) / (1.0 + c)
-
-
-def _raw_moment_tpld(r, b, c):
-    return (c ** (1.0 - r) * b * math.gamma(r + 1.0) + c ** (-float(r)) * math.gamma(r + 2.0)) / (b * c + 1.0)
+    zw = c * (x_u - x_l)
+    a = c * (1.0 + x_l)
+    p = special.gammainc(np.arange(1.0, k + 3.0), zw).tolist()
+    terms = [math.factorial(j) * (a * p[j] + (j + 1) * p[j + 1]) for j in range(k + 1)]
+    return [t / terms[0] for t in terms]
 
 
 def _raw_moment_pld(r, b, c):
     # b^(1-s) Gamma(s+1) + b^(-s) Gamma(s+2) with Gamma(s+2) = (s+1) Gamma(s+1)
     s = r / c
     return b ** (-s) * special.gamma(s + 1.0) * (b + s + 1.0) / (b + 1.0)
-
-
-def _raw_moment_gld(r, a, b, c):
-    return _rising(a + 1.0, r - 1) * (c * a + c * r + a * b) / (b**r * (c + b))
-
-
-def _raw_moment_ngld(r, a, b, c):
-    return (c ** (1.0 - r) * _rising(a, r) + c ** (-float(r)) * _rising(b, r)) / (1.0 + c)
 
 
 def _raw_moment_nwl(r, b, c):
@@ -605,7 +549,9 @@ def _raw_moment_nwl(r, b, c):
 
 
 def _raw_moment_dtl(r, c, x_l, x_u):
-    return _dtl_phi_diff(c, x_l, x_u, r) / _dtl_phi_diff(c, x_l, x_u, 0)
+    # E[(x_l + Z/c)^r] by the binomial expansion, every term >= 0
+    ez = _dtl_shifted_moments(c, x_l, x_u, r)
+    return sum(math.comb(r, j) * x_l ** (r - j) * ez[j] * c ** -j for j in range(r + 1))
 
 
 def _raw_moment_lognormal(r, m, sigma):
@@ -613,11 +559,8 @@ def _raw_moment_lognormal(r, m, sigma):
 
 
 _RAW_MOMENT = {
-    Family.LINDLEY1: _raw_moment_lindley1,
-    Family.TPLD: _raw_moment_tpld,
+    **_per_mixture(_raw_moment_mixture),
     Family.PLD: _raw_moment_pld,
-    Family.GLD: _raw_moment_gld,
-    Family.NGLD: _raw_moment_ngld,
     Family.NWL: _raw_moment_nwl,
     Family.DTL: _raw_moment_dtl,
     Family.LOGNORMAL: _raw_moment_lognormal,
@@ -646,107 +589,34 @@ def raw_moment(spec: DistributionSpec, r: int) -> float:
     )
 
 
-# Mean, and mean with variance, per family.  The power, generalized,
-# new-generalized and new-weighted forms also take parameter arrays, for the
-# batched estimators.  The one- and two-parameter forms are factored so that
-# c (or b*c) up to the largest double neither overflows nor flushes a
-# representable result to 0; u = 1/(bc + 1) turns (bc + 2)/(bc + 1) into
-# 1 + u and the variance numerator over (bc + 1)^2 into 1 + u(2 - u).
-
-def _mean_lindley1(c):
-    return (2.0 + c) / (1.0 + c) / c
-
-
-def _mean_variance_lindley1(c):
-    return _mean_lindley1(c), (1.0 + (4.0 + 2.0 / c) / c) / (1.0 + c) / (1.0 + c)
-
-
-def _mean_tpld(b, c):
-    return (1.0 + 1.0 / (b * c + 1.0)) / c
-
-
-def _mean_variance_tpld(b, c):
-    u = 1.0 / (b * c + 1.0)
-    return (1.0 + u) / c, (1.0 + u * (2.0 - u)) / c / c
-
-
-def _mean_pld(b, c):
-    return _raw_moment_pld(1, b, c)
-
+# Mean with variance, per family.  The mixture, power and new-weighted forms
+# also take parameter arrays, for the batched estimators.
 
 def _mean_variance_pld(b, c):
     mu = _raw_moment_pld(1, b, c)
     return mu, _raw_moment_pld(2, b, c) - mu * mu
 
 
-def _mean_gld(a, b, c):
-    return (a * (b + c) + c) / (b * (b + c))
-
-
-def _mean_variance_gld(a, b, c):
-    # numerator a b^2 + 2abc + a c^2 + 2bc + c^2 grouped as a (b+c)^2 + c (2b + c)
-    bc = b + c
-    d = b * bc
-    return (a * bc + c) / d, (a * bc * bc + c * (2.0 * b + c)) / (d * d)
-
-
-def _mean_ngld(a, b, c):
-    return (a * c + b) / (c * (1.0 + c))
-
-
-def _mean_variance_ngld(a, b, c):
-    # numerator a^2 c - 2abc + a c^2 + b^2 c + ac + bc + b grouped as c ((a-b)^2 + ac + a + b) + b,
-    # which has no cancellation when a is close to b
-    d = c * (1.0 + c)
-    return (a * c + b) / d, (c * ((a - b) * (a - b) + a * c + a + b) + b) / (d * d)
-
-
-def _mean_nwl(b, c):
-    return (b * b * c + 2.0 * b * b + 3.0 * c * b + 6.0 * b + 2.0 * c + 6.0) / (
+def _mean_variance_nwl(b, c):
+    mu = (b * b * c + 2.0 * b * b + 3.0 * c * b + 6.0 * b + 2.0 * c + 6.0) / (
         (c * b + b + c + 2.0) * c * (1.0 + b)
     )
-
-
-def _mean_variance_nwl(b, c):
-    mu = _mean_nwl(b, c)
     return mu, _raw_moment_nwl(2, b, c) - mu * mu
 
 
-def _mean_dtl(c, x_l, x_u):
-    return _raw_moment_dtl(1, c, x_l, x_u)
-
-
 def _mean_variance_dtl(c, x_l, x_u):
-    mu = _raw_moment_dtl(1, c, x_l, x_u)
-    return mu, _raw_moment_dtl(2, c, x_l, x_u) - mu * mu
-
-
-def _mean_lognormal(m, sigma):
-    return m * math.exp(0.5 * sigma * sigma)
+    _, m1, m2 = _dtl_shifted_moments(c, x_l, x_u, 2)
+    return x_l + m1 / c, (m2 - m1 * m1) / c / c
 
 
 def _mean_variance_lognormal(m, sigma):
     e = math.exp(sigma * sigma)
-    return _mean_lognormal(m, sigma), e * (e - 1.0) * m * m
+    return m * math.exp(0.5 * sigma * sigma), e * (e - 1.0) * m * m
 
-
-_MEAN = {
-    Family.LINDLEY1: _mean_lindley1,
-    Family.TPLD: _mean_tpld,
-    Family.PLD: _mean_pld,
-    Family.GLD: _mean_gld,
-    Family.NGLD: _mean_ngld,
-    Family.NWL: _mean_nwl,
-    Family.DTL: _mean_dtl,
-    Family.LOGNORMAL: _mean_lognormal,
-}
 
 _MEAN_VARIANCE = {
-    Family.LINDLEY1: _mean_variance_lindley1,
-    Family.TPLD: _mean_variance_tpld,
+    **_per_mixture(_mean_variance_mixture),
     Family.PLD: _mean_variance_pld,
-    Family.GLD: _mean_variance_gld,
-    Family.NGLD: _mean_variance_ngld,
     Family.NWL: _mean_variance_nwl,
     Family.DTL: _mean_variance_dtl,
     Family.LOGNORMAL: _mean_variance_lognormal,
@@ -755,15 +625,16 @@ _MEAN_VARIANCE = {
 
 def mean(spec: DistributionSpec) -> float:
     """Closed-form mean; DomainError when it is not a finite double."""
-    return _finite_moment("mean", spec, lambda: _MEAN[spec.family](*spec.params))
+    return _finite_moment("mean", spec, lambda: _MEAN_VARIANCE[spec.family](*spec.params)[0])
 
 
 def variance(spec: DistributionSpec) -> float:
     """Closed-form variance; DomainError when it is not a finite double.
 
-    The power, new-weighted and truncated families use mu2' - mu^2 from the
-    raw moments; their sprawling one-expression variants live in the test
-    suite only.
+    The mixture families use the law of total variance over their two gamma
+    components and the truncated family the moments of its shifted variable;
+    the power and new-weighted families use mu2' - mu^2 from the raw moments.
+    Their sprawling one-expression variants live in the test suite only.
     """
     return _finite_moment("variance", spec, lambda: _MEAN_VARIANCE[spec.family](*spec.params)[1])
 
@@ -822,34 +693,8 @@ def mode(spec: DistributionSpec) -> ModeResult:
 # sampling
 # --------------------------------------------------------------------------
 
-def _gamma_mixture(rng, n, w, shape1, shape2, scale):
-    """Gamma(shape1, scale) with probability w, else Gamma(shape2, scale)."""
-    pick = rng.uniform(size=n)
-    first = rng.gamma(shape1, scale, size=n)
-    second = rng.gamma(shape2, scale, size=n)
-    return np.where(pick < w, first, second)
-
-
-def _sample_lindley1(rng, n, c):
-    return _gamma_mixture(rng, n, c / (1.0 + c), 1.0, 2.0, 1.0 / c)
-
-
-def _sample_tpld(rng, n, b, c):
-    if b < 0.0:
-        raise DomainError(f"tpld with b < 0 has a signed density and cannot be sampled, got b={b}")
-    return _gamma_mixture(rng, n, b * c / (b * c + 1.0), 1.0, 2.0, 1.0 / c)
-
-
 def _sample_pld(rng, n, b, c):
-    return _sample_lindley1(rng, n, b) ** (1.0 / c)
-
-
-def _sample_gld(rng, n, a, b, c):
-    return _gamma_mixture(rng, n, c / (c + b), a + 1.0, a, 1.0 / b)
-
-
-def _sample_ngld(rng, n, a, b, c):
-    return _gamma_mixture(rng, n, c / (1.0 + c), a, b, 1.0 / c)
+    return _sample_mixture(_mixture_lindley1, rng, n, b) ** (1.0 / c)
 
 
 def _sample_nwl(rng, n, b, c):
@@ -886,11 +731,8 @@ def _sample_lognormal(rng, n, m, sigma):
 
 
 _SAMPLERS = {
-    Family.LINDLEY1: _sample_lindley1,
-    Family.TPLD: _sample_tpld,
+    **_per_mixture(_sample_mixture),
     Family.PLD: _sample_pld,
-    Family.GLD: _sample_gld,
-    Family.NGLD: _sample_ngld,
     Family.NWL: _sample_nwl,
     Family.DTL: _sample_dtl,
     Family.LOGNORMAL: _sample_lognormal,

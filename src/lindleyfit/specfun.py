@@ -1,7 +1,6 @@
 """Special functions backing the distribution layer: scipy.special with domain checks.
 
-Everything here is real-valued and double precision.  The complete gamma
-function and the scalar error function delegate to libm; the regularized
+Everything here is real-valued and double precision.  The regularized
 incomplete gamma functions and the array error functions delegate to
 ``scipy.special`` (``gammainc``/``gammaincc``, DiDonato & Morris, ACM TOMS 12
 (1986) 377, and ``erf``/``erfc``).  This module only adds the argument checks,
@@ -20,22 +19,6 @@ from scipy import special
 from .errors import DomainError
 
 
-def gamma(z: float) -> float:
-    """Complete gamma function for z > 0."""
-    z = float(z)
-    if not math.isfinite(z) or z <= 0.0:
-        raise DomainError(f"gamma requires finite z > 0, got {z!r}")
-    return math.gamma(z)
-
-
-def erf(x: float) -> float:
-    """Error function (2/sqrt(pi)) * integral of exp(-t^2) from 0 to x."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"erf requires finite x, got {x!r}")
-    return math.erf(x)
-
-
 def _check_scalar(name: str, a: float, z: float) -> tuple[float, float]:
     a = float(a)
     z = float(z)
@@ -44,12 +27,6 @@ def _check_scalar(name: str, a: float, z: float) -> tuple[float, float]:
     if not math.isfinite(z) or z < 0.0:
         raise DomainError(f"{name} requires z >= 0, got z={z!r}")
     return a, z
-
-
-def regularized_gamma_p(a: float, z: float) -> float:
-    """Regularized lower incomplete gamma P(a, z) for a > 0, z >= 0."""
-    a, z = _check_scalar("regularized_gamma_p", a, z)
-    return float(special.gammainc(a, z))
 
 
 def regularized_gamma_q(a: float, z: float) -> float:

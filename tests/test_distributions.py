@@ -313,6 +313,41 @@ class TestMoments:
                 if 2.2250738585072014e-308 <= abs(want) <= 1.7e308:
                     assert got == pytest.approx(float(want), rel=1e-13), (got, want)
 
+    # a ~ b on the diagonal and at 1 vs 1 + 2^-30; rates from 1e-6 to 1e6
+    MIXTURE_AXIS = np.geomspace(1e-6, 1e6, 9).tolist() + [1.0 + 2.0**-30]
+
+    @pytest.mark.parametrize("a", MIXTURE_AXIS)
+    @pytest.mark.parametrize("family", [Family.GLD, Family.NGLD])
+    def test_three_parameter_forms_against_mpmath(self, family, a):
+        # the published rational forms at 50 digits, with the variance
+        # numerators expanded; compared wherever the true value is a normal double
+        for b in self.MIXTURE_AXIS:
+            for c in self.MIXTURE_AXIS:
+                spec = lf.DistributionSpec(family, (a, b, c))
+                with mpmath.workdps(50):
+                    aa, bb, cc = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
+                    if family is Family.GLD:
+                        want_mean = (aa * (bb + cc) + cc) / (bb * (bb + cc))
+                        want_var = (aa * bb**2 + 2 * aa * bb * cc + aa * cc**2 + 2 * bb * cc + cc**2) / (
+                            bb**2 * (bb + cc) ** 2
+                        )
+                        want_m3 = (aa + 1) * (aa + 2) * (cc * aa + 3 * cc + aa * bb) / (bb**3 * (cc + bb))
+                    else:
+                        want_mean = (aa * cc + bb) / (cc * (1 + cc))
+                        want_var = (
+                            aa**2 * cc - 2 * aa * bb * cc + aa * cc**2 + bb**2 * cc + aa * cc + bb * cc + bb
+                        ) / (cc**2 * (1 + cc) ** 2)
+                        want_m3 = (cc * aa * (aa + 1) * (aa + 2) + bb * (bb + 1) * (bb + 2)) / (cc**3 * (1 + cc))
+                    pairs = [
+                        (lf.mean(spec), want_mean),
+                        (lf.variance(spec), want_var),
+                        (lf.raw_moment(spec, 3), want_m3),
+                    ]
+                    for got, want in pairs:
+                        assert not math.isnan(got)
+                        if 2.2250738585072014e-308 <= abs(want) <= 1.7e308:
+                            assert got == pytest.approx(float(want), rel=1e-13), (spec, got, want)
+
     @pytest.mark.parametrize(
         "spec,what",
         [
@@ -471,6 +506,32 @@ class TestSampling:
             0.26292938209578726, 0.5743193047045642, 1.146052240296571, 0.7739977777112063,
         ]
         np.testing.assert_array_equal(lf.sample(lf.lindley1(2.0), 1000, 42)[:8], golden)
+
+    @pytest.mark.parametrize(
+        "spec,golden",
+        [
+            (lf.tpld(0.5, 2.0), [
+                1.111845242979216, 0.24949846848328783, 0.8913481673734877, 1.045248096651664,
+                0.26292938209578726, 0.5743193047045642, 1.146052240296571, 0.7739977777112063,
+            ]),
+            (lf.pld(2.66, 2.28), [
+                0.9244299166846813, 0.47999332105620535, 0.8390156451046286, 0.3326121826199671,
+                0.4911595342552173, 0.6919020821544736, 0.936797996562411, 0.7886435099168232,
+            ]),
+            (lf.gld(2.0, 3.0, 0.5), [
+                0.5178292947351899, 0.4755535296158748, 0.1588686585872165, 1.4198948744681594,
+                0.43392222188870444, 1.389092296294214, 1.5913649886451005, 2.349528440593091,
+            ]),
+            (lf.ngld(2.0, 3.0, 1.5), [
+                5.855993725325481, 1.141167280627153, 5.714473876140369, 1.4382773542115228,
+                0.4341325135527388, 0.5690375320953782, 1.3202913066148732, 3.1999840996834275,
+            ]),
+        ],
+        ids=str,
+    )
+    def test_mixture_streams_frozen(self, spec, golden):
+        # first draws of the per-family samplers; the shared mixture sampler must not move them
+        np.testing.assert_array_equal(lf.sample(spec, 1000, 42)[:8], golden)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("spec", SAMPLER_SPECS, ids=str)

