@@ -259,7 +259,11 @@ def _gamma_pdf_arr(x: np.ndarray, shape: float, rate: float) -> np.ndarray:
 
 def _pdf_mixture(mix, x, *params):
     w1, w2, s1, s2, rate = mix(*params)
-    return w1 * _gamma_pdf_arr(x, s1, rate) + w2 * _gamma_pdf_arr(x, s2, rate)
+    # only a gld/ngld component (shape < 1) is inf at x = 0, and its weight is
+    # positive in exact arithmetic: one that underflowed to 0 still gives inf
+    with np.errstate(invalid="ignore"):
+        out = w1 * _gamma_pdf_arr(x, s1, rate) + w2 * _gamma_pdf_arr(x, s2, rate)
+    return np.where(np.isnan(out), np.inf, out)
 
 
 def _mixture_sum(reg_gamma, at_zero: float, weights, x):
@@ -533,17 +537,21 @@ def _dtl_shifted_moments(c: float, x_l: float, x_u: float, k: int) -> list[float
     return [t / terms[0] for t in terms]
 
 
+# The power and new-weighted raw moments raise their parameters with
+# np.power, which overflows to inf where Python's ** raises OverflowError, so
+# an overflowing variance does not take the finite mean down with it.
+
 def _raw_moment_pld(r, b, c):
     # b^(1-s) Gamma(s+1) + b^(-s) Gamma(s+2) with Gamma(s+2) = (s+1) Gamma(s+1)
     s = r / c
-    return b ** (-s) * special.gamma(s + 1.0) * (b + s + 1.0) / (b + 1.0)
+    return np.power(b, -s) * special.gamma(s + 1.0) * (b + s + 1.0) / (b + 1.0)
 
 
 def _raw_moment_nwl(r, b, c):
     return (
         math.gamma(r + 1.0)
-        * c ** (-float(r))
-        * ((1.0 + b) ** 2 * (c + r + 1.0) - (1.0 + b) ** (-float(r)) * (c * (1.0 + b) + r + 1.0))
+        * np.power(c, -float(r))
+        * ((1.0 + b) * (1.0 + b) * (c + r + 1.0) - (1.0 + b) ** (-float(r)) * (c * (1.0 + b) + r + 1.0))
         / (b * (b * c + b + c + 2.0))
     )
 
@@ -610,7 +618,7 @@ def _mean_variance_dtl(c, x_l, x_u):
 
 
 def _mean_variance_lognormal(m, sigma):
-    e = math.exp(sigma * sigma)
+    e = np.exp(sigma * sigma)   # overflows to inf where math.exp raises, so the mean survives
     return m * math.exp(0.5 * sigma * sigma), e * (e - 1.0) * m * m
 
 

@@ -218,9 +218,10 @@ def _multistart(moments, targets: np.ndarray, starts, first_hit: bool = False):
     no step length improves ends where it is.
 
     Returns ``(index, params, raw_residuals, iterations)`` for every lane
-    that ends with a result, in start order.  With ``first_hit``, lanes after
-    the first one that ends within NEWTON_TOL are dropped, because only the
-    first converged start is wanted.
+    that ends with a result, in start order.  With ``first_hit``, the whole
+    solve ends in the first iteration where any lane ends within NEWTON_TOL,
+    and only that lane is returned (the lowest start index if several end
+    then); any converged lane will do when the moment map is injective.
     """
     p_all = np.array(starts, dtype=float).reshape(-1, len(targets))
     n, k = p_all.shape
@@ -241,24 +242,24 @@ def _multistart(moments, targets: np.ndarray, starts, first_hit: bool = False):
     norm = _norm(r)
     ended = np.zeros(n, dtype=bool)
     iters = np.zeros(n, dtype=int)
-    cutoff = n
+    hit = n   # with first_hit, the lowest start index that has ended within NEWTON_TOL
     diag = np.arange(k)
 
     def end(mask, it):
-        nonlocal cutoff
+        nonlocal hit
         lanes = live[mask]
         p_all[lanes], r_all[lanes], ended[lanes], iters[lanes] = p[mask], r[mask], True, it
         if first_hit:
             hits = lanes[np.abs(r[mask] * scale).max(axis=1) <= NEWTON_TOL]
             if hits.size:
-                cutoff = min(cutoff, hits[0])
+                hit = min(hit, hits[0])
 
     for it in range(1, _MAX_ITER + 1):
-        keep = (live <= cutoff) & (np.abs(r).max(axis=1) >= 1e-13)
+        keep = np.abs(r).max(axis=1) >= 1e-13
         if not keep.all():
-            end(~keep & (live <= cutoff), it)
+            end(~keep, it)
             live, p, r, norm = live[keep], p[keep], r[keep], norm[keep]
-        if live.size == 0:
+        if live.size == 0 or hit < n:
             break
 
         # the 2k perturbed points of every lane in one evaluation
@@ -294,8 +295,10 @@ def _multistart(moments, targets: np.ndarray, starts, first_hit: bool = False):
             )
         rows, pick = np.arange(live.size), better.argmax(axis=1)
         p, r, norm = cand[rows, pick], r_cand[rows, pick], norm_cand[rows, pick]
-    end(np.ones(live.size, dtype=bool), _MAX_ITER)
-    return [(i, p_all[i], r_all[i] * scale, int(iters[i])) for i in np.flatnonzero(ended) if i <= cutoff]
+    else:
+        end(np.ones(live.size, dtype=bool), _MAX_ITER)
+    lanes = [hit] if hit < n else np.flatnonzero(ended)
+    return [(i, p_all[i], r_all[i] * scale, int(iters[i])) for i in lanes]
 
 
 # --------------------------------------------------------------------------
@@ -460,9 +463,10 @@ def estimate_two_param(family, t: MomentTargets) -> SolveReport:
     """Solve {mean = xbar, variance = s2} for the power or new-weighted family.
 
     Damped Newton with central finite-difference Jacobians, multistarted over
-    the fixed grid {0.1, 0.5, 1, 2, 5, 10}^2; the first converged valid
-    solution (in grid order) is returned.  Both families' moment maps were
-    found injective, so all starts agree.
+    the fixed grid {0.1, 0.5, 1, 2, 5, 10}^2.  The solve ends in the first
+    iteration where any start converges, and that start is returned (the
+    first in grid order if several converge then).  Both families' moment
+    maps were found injective, so every converged start gives the same root.
     """
     family = Family(family)
     if family not in (Family.PLD, Family.NWL):
@@ -488,18 +492,28 @@ def estimate_two_param(family, t: MomentTargets) -> SolveReport:
 def _three_param_roots(family: Family, t: MomentTargets):
     """Distinct converged roots of the three-moment system, and the best residual seen.
 
-    Starts come from the family's seed scan; the coarse grid is the fallback
-    when no scan seed converges.
+    Starts come from the family's seed scan.  The ``gld`` scan is scale-free
+    and covers every w = c/(c+b) in [1e-11, 1 - 1e-11] on both branches, so
+    its starts are the only ones; a scan that yields none raises
+    EstimationError.  The ``ngld`` scan covers c in [1e-6, 1e6] only, and
+    narrow samples have their root beyond it, so the coarse grid is the
+    fallback when no ``ngld`` scan seed converges.
     """
     moments = _moment_map(family)
     targets = np.array([t.xbar, t.s2, t.xbar3])
     m1 = t.xbar
     m2 = t.s2 + t.xbar * t.xbar
     m3 = t.xbar3
-    scan = _gld_seed_scan(m1, m2, m3) if family is Family.GLD else _ngld_seed_scan(m1, m2, m3)
-    roots, best_residual = _collect_roots(_multistart(moments, targets, scan))
+    if family is Family.GLD:
+        scan = _gld_seed_scan(m1, m2, m3)
+        if not len(scan):
+            raise EstimationError(
+                "gld moment solve failed: the seed scan found no candidate root", best_residual=None
+            )
+        return _collect_roots(_multistart(moments, targets, scan))
+    roots, best_residual = _collect_roots(_multistart(moments, targets, _ngld_seed_scan(m1, m2, m3)))
     if not roots:
-        # dense-scan blind spot: fall back to the coarse grid
+        # the scan's c range misses the root: fall back to the coarse grid
         roots, grid_best = _collect_roots(_multistart(moments, targets, _grid(3)))
         best_residual = min(best_residual, grid_best)
     return roots, best_residual
@@ -508,9 +522,10 @@ def _three_param_roots(family: Family, t: MomentTargets):
 def estimate_three_param(family, t: MomentTargets) -> SolveReport:
     """Solve {mean, variance, third raw moment} for the three-parameter families.
 
-    Starts come from a dense scale-free root scan (which enumerates every
-    solution branch), refined by damped Newton; the coarse grid
-    {0.1, 0.5, 1, 2, 5, 10}^3 is the fallback when the scan finds nothing.
+    Starts come from a dense 1-D root scan on every solution branch, refined
+    by damped Newton.  For ``ngld``, whose scan covers c in [1e-6, 1e6] only,
+    the coarse grid {0.1, 0.5, 1, 2, 5, 10}^3 is the fallback when no scan
+    seed converges; the scale-free ``gld`` scan has no fallback.
     These systems admit several exact roots for many targets; among the
     best-residual class of converged roots the one with the smallest ``c``
     (then lexicographically smallest (a, b)) is returned, which reproduces
@@ -520,6 +535,10 @@ def estimate_three_param(family, t: MomentTargets) -> SolveReport:
     if family not in (Family.GLD, Family.NGLD):
         raise FamilyError(f"estimate_three_param handles gld and ngld, got {family.value}")
     roots, best_residual = _three_param_roots(family, t)
+    if not roots and best_residual == math.inf:
+        raise EstimationError(
+            f"{family.value} moment solve failed: no start ended with a finite defect", best_residual=None
+        )
     if not roots:
         raise EstimationError(
             f"{family.value} moment solve failed from every start (best residual {best_residual:.3g})",

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 
 import lindleyfit as lf
@@ -57,3 +59,9 @@ def interior_grid(spec, n=25):
         return np.linspace(lo, hi, n)
     m = lf.mean(spec)
     return np.linspace(0.05 * m, 5.0 * m, n)
+
+
+def checkout_env():
+    """The environment for a child interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(lf.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -18,7 +18,7 @@ from scipy import integrate
 
 import lindleyfit as lf
 import reference_forms as ref
-from conftest import ALL_FAMILIES, SELF_SAMPLE_SPECS, random_spec
+from conftest import ALL_FAMILIES, SELF_SAMPLE_SPECS, checkout_env, random_spec
 from lindleyfit import estimation as est
 from lindleyfit import gof
 from lindleyfit.distributions import Family
@@ -278,7 +278,7 @@ def test_criterion_7_end_to_end(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "lindleyfit.cli", "synth", "--family", "lindley1",
              "--params", "2.0", "--n", "5000", "--seed", "42", "--out", str(sample)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=checkout_env(),
         )
         assert proc.returncode == 0, proc.stderr
         return sample
@@ -288,7 +288,7 @@ def test_criterion_7_end_to_end(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "lindleyfit.cli", "fit", "--input", str(sample),
              "--families", "lindley1", "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=checkout_env(),
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout, (out / "sample_fits.json").read_text()

@@ -78,6 +78,11 @@ class TestPdf:
             0.48008958783297374, rel=1e-12
         )
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowed_weight_keeps_the_infinite_density_at_zero(self):
+        # w2 = b/(c+b) rounds to 0 on the Gamma(a = 0.5) component, which is inf at 0
+        assert lf.pdf(lf.gld(0.5, 1e-300, 1e300), 0.0) == math.inf
+
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(5)
         for fam in ALL_FAMILIES:
@@ -362,6 +367,20 @@ class TestMoments:
         # the true value overflows a double: a typed error, not inf, NaN or a bare OverflowError
         with pytest.raises(DomainError):
             lf.raw_moment(spec, 2) if what == "raw_moment" else getattr(lf, what)(spec)
+
+    @pytest.mark.parametrize(
+        "spec,want",
+        [
+            (lf.nwl(1.0, 1e-160), 2.3333333333333335e160),
+            (lf.lognormal(1.0, 30.0), 2.7071782767869983e195),
+            (lf.pld(1e-10, 0.05), 5.1090942166843597e219),
+        ],
+    )
+    def test_finite_mean_survives_an_overflowing_variance(self, spec, want):
+        # the mean and variance share one form, whose variance half overflows here
+        assert lf.mean(spec) == pytest.approx(want, rel=1e-12)
+        with pytest.raises(DomainError):
+            lf.variance(spec)
 
     def test_extreme_rates_named_in_the_overflow_report(self):
         assert lf.variance(lf.lindley1(1e100)) == pytest.approx(1e-200, rel=1e-14)

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import lindleyfit as lf
 import reference_forms as ref
+from conftest import checkout_env
 from lindleyfit import estimation as est
 from lindleyfit.distributions import Family
 from lindleyfit.errors import (
@@ -22,10 +22,17 @@ from lindleyfit.errors import (
     LindleyFitError,
     NoSolutionError,
 )
+from test_root_selection import law_samples
 
 
 def targets(xbar, s2, xbar3=1.0, x_min=0.0, x_max=math.inf):
     return est.MomentTargets(xbar=xbar, s2=s2, xbar3=xbar3, x_min=x_min, x_max=x_max)
+
+
+def law_targets(law):
+    """Sample moments of one benchmark law's fixed sample (``test_root_selection.law_samples``)."""
+    masses = law_samples()[law]
+    return est.MomentTargets.from_summary(lf.summarize(lf.MassCatalog(law, masses)))
 
 
 class TestMomentTargets:
@@ -89,9 +96,7 @@ class TestLindley1:
 
 def _fresh_python(code):
     """Run ``code`` in a new interpreter that imports this checkout's package."""
-    src = os.path.dirname(os.path.dirname(lf.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=checkout_env())
 
 
 def test_import_leaves_scipy_optimize_unloaded():
@@ -199,6 +204,22 @@ class TestTwoParam:
         with pytest.raises(FamilyError):
             est.estimate_two_param(Family.GLD, targets(1.0, 0.5))
 
+    def test_solve_ends_at_the_first_converging_iteration(self, monkeypatch):
+        # one moment evaluation at the starts, then two per Newton iteration
+        # (Jacobian points, step lengths); waiting for a start that never
+        # converges would take the full 60 iterations
+        calls = []
+        moment_map = est._moment_map
+
+        def counted(family):
+            moments = moment_map(family)
+            return lambda params: calls.append(1) or moments(params)
+
+        monkeypatch.setattr(est, "_moment_map", counted)
+        r = est.estimate_two_param(Family.PLD, law_targets("lognormal"))
+        assert r.converged
+        assert len(calls) <= 2 * (r.iterations + 1)
+
 
 class TestThreeParam:
     def test_gld_table_anchor(self):
@@ -264,6 +285,48 @@ class TestThreeParam:
     def test_family_guard(self):
         with pytest.raises(FamilyError):
             est.estimate_three_param(Family.PLD, targets(1.0, 0.5))
+
+    @staticmethod
+    def _count_multistarts(monkeypatch):
+        calls = []
+        multistart = est._multistart
+
+        def counted(*args, **kwargs):
+            calls.append(multistart(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(est, "_multistart", counted)
+        return calls
+
+    def test_failing_gld_fit_runs_only_the_scan_starts(self, monkeypatch):
+        calls = self._count_multistarts(monkeypatch)
+        with pytest.raises(EstimationError):
+            est.estimate_three_param(Family.GLD, law_targets("lognormal"))
+        assert len(calls) == 1
+
+    def test_ngld_root_beyond_the_scan_is_found_by_the_grid(self, monkeypatch):
+        # a narrow sample puts the root at c ~ 1e9, past the scan's [1e-6, 1e6]
+        calls = self._count_multistarts(monkeypatch)
+        t = targets(1.0, 1e-9, 1.0 + 3e-9)
+        r = est.estimate_three_param(Family.NGLD, t)
+        assert r.converged
+        assert r.spec.params[2] > 1e6
+        assert len(calls) == 2
+        assert est._collect_roots(calls[0])[0] == []
+
+    def test_empty_gld_scan_says_so(self):
+        # s2 / xbar^2 = 1e-17 rounds r2 = m2 / m1^2 to 1, which leaves the scan nothing
+        with pytest.raises(EstimationError, match="seed scan found no candidate") as err:
+            est.estimate_three_param(Family.GLD, targets(1.0, 1e-17, 1.0))
+        assert err.value.best_residual is None
+
+    def test_gld_solve_with_no_finite_lane_says_so(self):
+        # every lane from this scan ends on a non-finite value or a singular Jacobian
+        t = est.targets_from_spec(lf.gld(500.0, 1e3, 1e3 * 0.001 / 0.999))
+        t = targets(t.xbar, t.s2, t.xbar3 * (1.0 + 1e-9))
+        with pytest.raises(EstimationError, match="no start ended with a finite defect") as err:
+            est.estimate_three_param(Family.GLD, t)
+        assert err.value.best_residual is None
 
 
 # (x_l, x_u) windows for the dtl solver: three from x_l = 0, the table
