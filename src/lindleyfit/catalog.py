@@ -48,7 +48,7 @@ class SampleSummary:
     n: int
     xbar: float
     s2: float
-    raw_moments: tuple[float, float, float, float]
+    raw_moments: tuple[float, float, float]
     x_min: float
     x_max: float
 
@@ -132,19 +132,14 @@ def load_csv(path, column=0, name: str | None = None) -> MassCatalog:
 
 
 def summarize(cat: MassCatalog) -> SampleSummary:
-    """Sample mean, unbiased variance, raw moments of orders 1-4, and extremes."""
+    """Sample mean, unbiased variance, raw moments of orders 1-3, and extremes."""
     m = cat.masses
     n = m.size
     if n < 2:
         raise DegenerateSampleError("summary of a single observation has no variance")
     xbar = float(np.mean(m))
     s2 = float(np.sum((m - xbar) ** 2) / (n - 1))
-    raw = (
-        xbar,
-        float(np.mean(m**2)),
-        float(np.mean(m**3)),
-        float(np.mean(m**4)),
-    )
+    raw = (xbar, float(np.mean(m**2)), float(np.mean(m**3)))
     return SampleSummary(
         n=int(n),
         xbar=xbar,

@@ -331,14 +331,15 @@ def main(argv=None) -> int:
             )
             return cmd_fit(config)
         if args.command == "plotdata":
+            family = Family(args.family.strip().lower())
             config = RunConfig(
                 inputs=args.input,
                 column=args.column,
-                families=_parse_families(args.family),
+                families=(family,),
                 n_bins=args.bins,
                 out_dir=args.out,
             )
-            return cmd_plotdata(config, config.families[0])
+            return cmd_plotdata(config, family)
         if args.command == "synth":
             family = Family(args.family.strip().lower())
             params = [float(tok) for tok in args.params.split(",") if tok.strip()]

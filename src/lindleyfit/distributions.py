@@ -205,8 +205,10 @@ def support(spec: DistributionSpec) -> Support:
 # (w1, w2, s1, s2, rate); the density, distribution functions, moments and
 # draws below are written once for all four.  The weights are written so that
 # neither cancels nor overflows; tpld's w1 is 1 - u rather than bc u, which is
-# NaN once bc overflows, and is negative when b < 0.  The maps take parameter
-# arrays as well, for the batched estimators.
+# NaN once bc overflows, and is negative when b < 0.  gld's c/(c + b) and
+# b/(c + b) halve c and b where c + b overflows; halving such large numbers is
+# exact, so the weights are those ratios to the last bit.  The maps take
+# parameter arrays as well, for the batched estimators.
 
 def _mixture_lindley1(c):
     return c / (1.0 + c), 1.0 / (1.0 + c), 1.0, 2.0, c
@@ -218,7 +220,9 @@ def _mixture_tpld(b, c):
 
 
 def _mixture_gld(a, b, c):
-    return c / (c + b), b / (c + b), a + 1.0, a, b
+    scale = np.where(c + b < math.inf, 1.0, 0.5)
+    c_s, b_s = scale * c, scale * b
+    return c_s / (c_s + b_s), b_s / (c_s + b_s), a + 1.0, a, b
 
 
 def _mixture_ngld(a, b, c):
@@ -241,7 +245,7 @@ def _per_mixture(form) -> dict:
 def _gamma_pdf_arr(x: np.ndarray, shape: float, rate: float) -> np.ndarray:
     """Gamma(shape, rate) density with the correct x = 0 limits."""
     out = np.zeros_like(x)
-    pos = x > 0.0
+    pos = (x > 0.0) & (x < math.inf)   # x = inf is a power that overflowed
     if np.any(pos):
         xp = x[pos]
         out[pos] = np.exp(
@@ -319,36 +323,43 @@ def _sample_mixture(mix, rng, n, *params):
 
 
 # --------------------------------------------------------------------------
-# densities
+# lindley1 at a power (pld) and truncated to a window (dtl)
 # --------------------------------------------------------------------------
 
-def _pdf_pld(x, b, c):
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    if np.any(pos):
-        xp = x[pos]
-        with np.errstate(over="ignore"):
-            t = xp**c
-        v = np.zeros_like(xp)
-        live = t < 1e300
-        tf = t[live]
-        v[live] = np.exp(
-            math.log(c)
-            + 2.0 * math.log(b)
-            + np.log1p(tf)
-            + (c - 1.0) * np.log(xp[live])
-            - b * tf
-            - math.log1p(b)
-        )
-        out[pos] = v
-    zero = x == 0.0
-    if np.any(zero):
-        if c < 1.0:
-            out[zero] = np.inf
-        elif c == 1.0:
-            out[zero] = b * b / (b + 1.0)
-    return out
+def _at_power(form, x, b, c):
+    """``form`` of lindley1(b) at x**c: the pld cdf and sf."""
+    with np.errstate(over="ignore"):
+        t = np.maximum(x, 0.0) ** c
+    return form(_mixture_lindley1, t, b)
 
+
+def _pdf_at_power(x, b, c):
+    """The pld density by the change of variables t = x**c: c x^(c-1) times lindley1(b)'s at t."""
+    dens = _at_power(_pdf_mixture, x, b, c)
+    # x^(c-1) is inf at x = 0 when c < 1, and may overflow where the density
+    # at t has already underflowed to 0; below 0 the density is 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = c * np.maximum(x, 0.0) ** (c - 1.0) * dens
+    return np.where((x < 0.0) | (dens == 0.0), 0.0, out)
+
+
+def _dtl_mass(c, lo, hi):
+    """c^2 M(lo, hi) as its two positive parts, M the mass of (1 + x) e^{-c (x - lo)} on [lo, hi].
+
+    In z = c (x - lo) the integrand is (c (1 + lo) + z) e^{-z} / c^2, the
+    Exp(1) / Gamma(2) mixture of tpld(1 + lo, c) past lo, so with
+    zw = c (hi - lo) the mass is (c (1 + lo) P(1, zw) + P(2, zw)) / c^2.  No
+    term cancels, at any rate.  The dtl density is (1 + x) e^{-c (x - x_l)} /
+    M(x_l, x_u), its cdf M(x_l, x) / M(x_l, x_u) and its sf
+    e^{-c (x - x_l)} M(x, x_u) / M(x_l, x_u).
+    """
+    zw = c * (hi - lo)
+    return (1.0 + lo) * c * -np.expm1(-zw), special.gammainc(2.0, zw)
+
+
+# --------------------------------------------------------------------------
+# densities
+# --------------------------------------------------------------------------
 
 def _pdf_nwl(x, b, c):
     out = np.zeros_like(x)
@@ -363,8 +374,7 @@ def _pdf_dtl(x, c, x_l, x_u):
     out = np.zeros_like(x)
     m = (x >= x_l) & (x <= x_u)
     xm = x[m]
-    den = (1.0 + c + c * x_l) - math.exp(-c * (x_u - x_l)) * (1.0 + c + c * x_u)
-    out[m] = c * c * (xm + 1.0) * np.exp(-c * (xm - x_l)) / den
+    out[m] = (1.0 + xm) * np.exp(-c * (xm - x_l)) / (sum(_dtl_mass(c, x_l, x_u)) / c / c)
     return out
 
 
@@ -379,7 +389,7 @@ def _pdf_lognormal(x, m, sigma):
 
 _PDF = {
     **_per_mixture(_pdf_mixture),
-    Family.PLD: _pdf_pld,
+    Family.PLD: _pdf_at_power,
     Family.NWL: _pdf_nwl,
     Family.DTL: _pdf_dtl,
     Family.LOGNORMAL: _pdf_lognormal,
@@ -389,13 +399,6 @@ _PDF = {
 # --------------------------------------------------------------------------
 # CDFs (incomplete-gamma compositions) and survival functions
 # --------------------------------------------------------------------------
-
-def _at_power(form, x, b, c):
-    """The pld cdf or sf: ``form`` of lindley1(b) at x**c."""
-    with np.errstate(over="ignore"):
-        t = np.maximum(x, 0.0) ** c
-    return form(_mixture_lindley1, t, b)
-
 
 def _cdf_nwl(x, b, c):
     out = np.zeros_like(x)
@@ -412,13 +415,9 @@ def _cdf_nwl(x, b, c):
 
 
 def _cdf_dtl(x, c, x_l, x_u):
-    # (S1(x_l) - S1(x)) / (S1(x_l) - S1(x_u)) with everything rescaled by
-    # exp(c*x_l) so large c*x never overflows.
     out = np.zeros_like(x)
-    den = (1.0 + c + c * x_l) - math.exp(-c * (x_u - x_l)) * (1.0 + c + c * x_u)
     m = (x > x_l) & (x < x_u)
-    xm = x[m]
-    out[m] = ((1.0 + c + c * x_l) - np.exp(-c * (xm - x_l)) * (1.0 + c + c * xm)) / den
+    out[m] = sum(_dtl_mass(c, x_l, x[m])) / sum(_dtl_mass(c, x_l, x_u))
     out[x >= x_u] = 1.0
     return np.clip(out, 0.0, 1.0)
 
@@ -454,13 +453,9 @@ def _sf_nwl(x, b, c):
 
 def _sf_dtl(x, c, x_l, x_u):
     out = np.ones_like(x)
-    den = (1.0 + c + c * x_l) - math.exp(-c * (x_u - x_l)) * (1.0 + c + c * x_u)
     m = (x > x_l) & (x < x_u)
     xm = x[m]
-    out[m] = (
-        np.exp(-c * (xm - x_l)) * (1.0 + c + c * xm)
-        - math.exp(-c * (x_u - x_l)) * (1.0 + c + c * x_u)
-    ) / den
+    out[m] = np.exp(-c * (xm - x_l)) * sum(_dtl_mass(c, xm, x_u)) / sum(_dtl_mass(c, x_l, x_u))
     out[x >= x_u] = 0.0
     return out
 
@@ -723,8 +718,7 @@ def _sample_dtl(rng, n, c, x_l, x_u):
     # that is an Exp(1) / Gamma(2) mixture, here truncated to [0, zw] and
     # inverted exactly per component.
     zw = c * (x_u - x_l)
-    p2 = float(special.gammainc(2.0, zw))
-    w_exp = (1.0 + x_l) * c * -math.expm1(-zw)
+    w_exp, p2 = _dtl_mass(c, x_l, x_u)
     pick = rng.uniform(size=n) < w_exp / (w_exp + p2)
     u = rng.uniform(size=n)
     z = np.empty(n)

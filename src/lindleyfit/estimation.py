@@ -455,6 +455,26 @@ def _select_root(roots):
     return min(keep, key=lambda r: (r[0][-1],) + tuple(r[0][:-1]))
 
 
+def _report_root(family: Family, roots, best_residual: float) -> SolveReport:
+    """The report of the root :func:`_select_root` picks; EstimationError when there is none."""
+    if not roots and best_residual == math.inf:
+        raise EstimationError(
+            f"{family.value} moment solve failed: no start ended with a finite defect", best_residual=None
+        )
+    if not roots:
+        raise EstimationError(
+            f"{family.value} moment solve failed from every start (best residual {best_residual:.3g})",
+            best_residual=best_residual,
+        )
+    p, raw, iters, _ = _select_root(roots)
+    return SolveReport(
+        spec=DistributionSpec(family, tuple(p)),
+        residuals=raw,
+        iterations=iters,
+        converged=True,
+    )
+
+
 def _grid(k: int) -> np.ndarray:
     return np.array(list(itertools.product(_GRID_AXIS, repeat=k)))
 
@@ -471,22 +491,8 @@ def estimate_two_param(family, t: MomentTargets) -> SolveReport:
     family = Family(family)
     if family not in (Family.PLD, Family.NWL):
         raise FamilyError(f"estimate_two_param handles pld and nwl, got {family.value}")
-    targets = np.array([t.xbar, t.s2])
-    best_residual = math.inf
-    for _, p, raw, iters in _multistart(_moment_map(family), targets, _grid(2), first_hit=True):
-        res = float(np.max(np.abs(raw)))
-        best_residual = min(best_residual, res)
-        if res <= NEWTON_TOL and np.all(p > 0):
-            return SolveReport(
-                spec=DistributionSpec(family, tuple(p)),
-                residuals=raw,
-                iterations=iters,
-                converged=True,
-            )
-    raise EstimationError(
-        f"{family.value} moment solve failed from every start (best residual {best_residual:.3g})",
-        best_residual=best_residual,
-    )
+    results = _multistart(_moment_map(family), np.array([t.xbar, t.s2]), _grid(2), first_hit=True)
+    return _report_root(family, *_collect_roots(results))
 
 
 def _three_param_roots(family: Family, t: MomentTargets):
@@ -534,23 +540,7 @@ def estimate_three_param(family, t: MomentTargets) -> SolveReport:
     family = Family(family)
     if family not in (Family.GLD, Family.NGLD):
         raise FamilyError(f"estimate_three_param handles gld and ngld, got {family.value}")
-    roots, best_residual = _three_param_roots(family, t)
-    if not roots and best_residual == math.inf:
-        raise EstimationError(
-            f"{family.value} moment solve failed: no start ended with a finite defect", best_residual=None
-        )
-    if not roots:
-        raise EstimationError(
-            f"{family.value} moment solve failed from every start (best residual {best_residual:.3g})",
-            best_residual=best_residual,
-        )
-    p, raw, iters, _ = _select_root(roots)
-    return SolveReport(
-        spec=DistributionSpec(family, tuple(p)),
-        residuals=raw,
-        iterations=iters,
-        converged=True,
-    )
+    return _report_root(family, *_three_param_roots(family, t))
 
 
 def _dtl_flat_mean(x_l: float, x_u: float) -> float:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import distributions as dist
 from . import specfun
@@ -134,31 +135,11 @@ def aic(chi2: float, k: int) -> float:
     return 2.0 * k + chi2
 
 
-def _ks_significance(d: float, n: int) -> float:
-    """Asymptotic K-S tail probability with the Stephens lambda correction.
-
-    Q_KS(lam) = 2 * sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lam^2); the series is cut
-    at a relative term of 1e-12 and the probability is clamped to [0, 1].
-    A lam too small for the series to converge means certainty of fit (1.0).
-    """
-    if d <= 0.0:
-        return 1.0
-    sqrt_n = math.sqrt(n)
-    lam = (sqrt_n + 0.12 + 0.11 / sqrt_n) * d
-    total = 0.0
-    sign = 1.0
-    for j in range(1, 201):
-        term = sign * math.exp(-2.0 * j * j * lam * lam)
-        total += term
-        if abs(term) <= 1e-12 * max(abs(total), 1e-300):
-            return min(max(2.0 * total, 0.0), 1.0)
-        sign = -sign
-    return 1.0
-
-
 def ks_test(masses, spec: DistributionSpec) -> tuple[float, float]:
     """Maximum empirical/model CDF distance D and its significance level P_KS.
 
+    P_KS is Q_KS(lambda) = 2 sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lambda^2), from
+    ``scipy.special.kolmogorov``, at lambda = (sqrt(n) + 0.12 + 0.11/sqrt(n)) D.
     The fit is conventionally 'believable' when P_KS >= 0.1.
     """
     masses = np.asarray(masses, dtype=float)
@@ -171,7 +152,8 @@ def ks_test(masses, spec: DistributionSpec) -> tuple[float, float]:
     d_plus = float(np.max(i / n - f))
     d_minus = float(np.max(f - (i - 1.0) / n))
     d = max(d_plus, d_minus, 0.0)
-    return d, _ks_significance(d, n)
+    sqrt_n = math.sqrt(n)
+    return d, float(special.kolmogorov((sqrt_n + 0.12 + 0.11 / sqrt_n) * d))
 
 
 def full_report(masses, spec: DistributionSpec, n_bins: int = 20) -> FitReport:

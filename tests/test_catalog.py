@@ -102,6 +102,14 @@ class TestSummarize:
         with pytest.raises(DegenerateSampleError):
             summarize(MassCatalog("one", np.array([1.0])))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_masses_summarize_clean(self):
+        # a fourth power of 1e80 overflows; only orders 1-3 are computed
+        masses = 1e80 * np.array([0.31, 0.77, 1.23, 2.9])
+        s = summarize(MassCatalog("huge", masses))
+        assert len(s.raw_moments) == 3
+        assert s.raw_moments[2] == pytest.approx(float(np.mean((masses / 1e80) ** 3)) * 1e240, rel=1e-14)
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(

@@ -172,6 +172,16 @@ class TestPlotdata:
         span = float(cdf["cdf"][-1] - cdf["cdf"][0])
         assert area == pytest.approx(span, abs=1e-3)
 
+    @pytest.mark.parametrize("family", ["all", "gld,pld"])
+    def test_takes_exactly_one_family(self, synth_csv, tmp_path, capsys, family):
+        # 'all' once plotted lognormal, and a list only its first family
+        code, _, err = run(capsys, "plotdata", "--input", str(synth_csv),
+                           "--family", family, "--out", str(tmp_path / "plot"))
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        assert not (tmp_path / "plot").exists()
+
     def test_requires_out(self, synth_csv, capsys):
         code, _, err = run(capsys, "plotdata", "--input", str(synth_csv),
                            "--family", "lindley1", "--out", "")

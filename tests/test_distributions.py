@@ -174,6 +174,40 @@ class TestTextbookFormCrossChecks:
         for x in interior_grid(spec, n=15):
             assert lf.cdf(spec, x) == pytest.approx(form(x), abs=1e-9), x
 
+    DTL_RATES = [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 2.71, 25.0, 300.0]
+    DTL_WINDOWS = [(0.0, 1.0), (0.019, 1.46), (0.08, 60.0), (5.0, 6.0), (1000.0, 1001.0), (0.0, 1e3)]
+
+    @pytest.mark.parametrize("window", DTL_WINDOWS, ids=str)
+    @pytest.mark.parametrize("c", DTL_RATES)
+    def test_dtl_forms_against_mpmath(self, c, window):
+        # pdf, cdf and sf within 1e-12 of the exact value wherever it is at
+        # least 1e-300, ends of the window included; the normaliser written as
+        # a difference of two exponential terms lost every digit at small c w
+        x_l, x_u = window
+        spec = lf.dtl(c, x_l, x_u)
+        fractions = np.concatenate([[1e-9, 1e-3, 1.0 - 1e-3, 1.0 - 1e-9], np.linspace(0.0, 1.0, 17)])
+        xs = x_l + fractions * (x_u - x_l)
+        got = np.array([lf.pdf(spec, xs), lf.cdf(spec, xs), lf.sf(spec, xs)])
+        assert not np.isnan(got).any()
+        for i, x in enumerate(xs):
+            for form, g, want in zip(("pdf", "cdf", "sf"), got[:, i], ref.dtl_forms(x, c, x_l, x_u)):
+                if want >= 1e-300:
+                    assert g == pytest.approx(want, rel=1e-12), (form, x, g, want)
+
+    def test_pld_pdf_form(self):
+        # the change-of-variables density against the one-expression form,
+        # with its x = 0 limits: inf for c < 1, b^2/(1+b) at c = 1, 0 for c > 1
+        xs = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 60)])
+        for b in (0.01, 0.1, 1.0, 2.66, 10.0, 50.0):
+            for c in (0.3, 0.9, 1.0, 2.28, 7.0):
+                got = lf.pdf(lf.pld(b, c), xs)
+                assert not np.isnan(got).any()
+                assert got[0] == pytest.approx(ref.pld_pdf(0.0, b, c), rel=1e-15)
+                for x, g in zip(xs[1:], got[1:]):
+                    want = ref.pld_pdf(x, b, c)
+                    if want >= 1e-300:
+                        assert g == pytest.approx(want, rel=1e-12), (b, c, x, g, want)
+
     def test_gld_closed_form_hazard(self):
         spec = lf.gld(2.0, 3.0, 0.5)
         for x in (0.3, 1.0, 2.2):
@@ -382,6 +416,13 @@ class TestMoments:
         with pytest.raises(DomainError):
             lf.variance(spec)
 
+    def test_gld_weights_survive_an_overflowing_c_plus_b(self):
+        # c + b overflows to inf, which once zeroed both mixture weights
+        spec = lf.gld(2.0, 1e308, 1e308)
+        assert lf.mean(spec) == pytest.approx(2.5e-308, rel=1e-14)
+        # 0.5 Gamma(3, b) + 0.5 Gamma(2, b) at b x = 4, by mpmath
+        assert lf.pdf(spec, 4e-308) == pytest.approx(1.0989383333240508e307, rel=1e-12)
+
     def test_extreme_rates_named_in_the_overflow_report(self):
         assert lf.variance(lf.lindley1(1e100)) == pytest.approx(1e-200, rel=1e-14)
         assert lf.variance(lf.lindley1(1e160)) >= 0.0
@@ -544,6 +585,10 @@ class TestSampling:
             (lf.ngld(2.0, 3.0, 1.5), [
                 5.855993725325481, 1.141167280627153, 5.714473876140369, 1.4382773542115228,
                 0.4341325135527388, 0.5690375320953782, 1.3202913066148732, 3.1999840996834275,
+            ]),
+            (lf.dtl(2.71, 0.019, 1.46), [
+                0.15873964399439375, 0.23895600197984287, 0.2340704793341699, 0.07864855876710429,
+                0.3756048080229951, 0.47896581737678834, 1.205472871764052, 0.4114787323572719,
             ]),
         ],
         ids=str,

@@ -204,6 +204,14 @@ class TestTwoParam:
         with pytest.raises(FamilyError):
             est.estimate_two_param(Family.GLD, targets(1.0, 0.5))
 
+    @pytest.mark.parametrize("family", [Family.PLD, Family.NWL])
+    def test_solve_with_no_finite_lane_says_so(self, monkeypatch, family):
+        # the same message and best_residual as the three-parameter families
+        monkeypatch.setattr(est, "_multistart", lambda *args, **kwargs: [])
+        with pytest.raises(EstimationError, match="no start ended with a finite defect") as err:
+            est.estimate_two_param(family, targets(1.0, 0.5))
+        assert err.value.best_residual is None
+
     def test_solve_ends_at_the_first_converging_iteration(self, monkeypatch):
         # one moment evaluation at the starts, then two per Newton iteration
         # (Jacobian points, step lengths); waiting for a start that never

@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 import lindleyfit as lf
 from lindleyfit import gof
@@ -182,8 +183,24 @@ class TestKsTest:
         assert p > 0.1
 
     def test_significance_decreasing_in_d(self):
-        ps = [gof._ks_significance(d, 200) for d in np.linspace(0.01, 0.3, 25)]
+        # one sample of 200 scaled away from its model: P_KS falls as D grows
+        spec = lf.lindley1(2.0)
+        draws = lf.sample(spec, 200, 3)
+        pairs = sorted(gof.ks_test(draws * k, spec) for k in np.linspace(0.6, 1.6, 25))
+        assert pairs[0][0] < 0.1 < pairs[-1][0]
+        ps = [p for _, p in pairs]
         assert all(a >= b for a, b in zip(ps, ps[1:]))
+
+    @pytest.mark.parametrize("n", [1, 7, 200, 5000])
+    def test_significance_is_the_kolmogorov_tail_at_the_stephens_lambda(self, n):
+        spec = lf.nwl(1.57, 3.77)
+        d, p = gof.ks_test(1.05 * lf.sample(spec, n, n), spec)
+        lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * d
+        assert p == pytest.approx(float(special.kolmogorov(lam)), abs=1e-15)
+        # the alternating series that defines the tail, at 40 digits
+        with mpmath.workdps(40):
+            tail = 2 * mpmath.nsum(lambda j: (-1) ** (j - 1) * mpmath.exp(-2 * j * j * lam * lam), [1, mpmath.inf])
+        assert p == pytest.approx(float(tail), abs=1e-12)
 
     def test_probability_integral_transform_invariance(self):
         # applying the model CDF to the data and testing against the uniform
