@@ -9,8 +9,9 @@ baseline.
 ``lindley1``, ``tpld``, ``gld`` and ``ngld`` are two-gamma mixtures with a
 shared rate.  Each maps its parameters to the mixture's weights, shapes and
 rate, and its density, distribution functions, moments and draws all come
-from that one map.  ``pld`` is ``lindley1`` at a power of x, and ``dtl``'s
-moments are those of a truncated exponential/gamma(2) mixture past ``x_l``.
+from that one map.  ``pld`` is ``lindley1`` at a power of x, ``nwl`` is a
+gamma(2)/gamma(3) mixture over its rate, and ``dtl``'s moments are those of
+a truncated exponential/gamma(2) mixture past ``x_l``.
 
 Shipped CDFs are written as compositions of regularized incomplete gamma
 functions (or plain exponential survival terms) rather than as the textbook
@@ -357,6 +358,18 @@ def _dtl_mass(c, lo, hi):
     return (1.0 + lo) * c * -np.expm1(-zw), special.gammainc(2.0, zw)
 
 
+def _nwl_masses(b, c):
+    """The masses (m2, m3) of nwl's Gamma(2) and Gamma(3) parts; m2 + m3 normalises its density.
+
+    (1+x) e^{-cx} (1 - e^{-cbx}) = int_c^{c2} (x + x^2) e^{-rx} dr with c2 = c(1+b), so nwl
+    is Gamma(2 or 3, rate r) with r mixed over [c, c2]: shape 2 carries r-density r^-2
+    and mass 1/c - 1/c2, shape 3 carries 2 r^-3 and mass 1/c^2 - 1/c2^2, here written
+    without that cancellation.
+    """
+    m2 = b / (c * (1.0 + b))
+    return m2, m2 * (2.0 + b) / (c * (1.0 + b))
+
+
 # --------------------------------------------------------------------------
 # densities
 # --------------------------------------------------------------------------
@@ -365,8 +378,7 @@ def _pdf_nwl(x, b, c):
     out = np.zeros_like(x)
     m = x >= 0.0
     xm = x[m]
-    norm = b * (c * b + b + c + 2.0)
-    out[m] = c * c * (1.0 + b) ** 2 * (1.0 + xm) * (-np.expm1(-c * b * xm)) * np.exp(-c * xm) / norm
+    out[m] = (1.0 + xm) * (-np.expm1(-c * b * xm)) * np.exp(-c * xm) / sum(_nwl_masses(b, c))
     return out
 
 
@@ -405,12 +417,11 @@ def _cdf_nwl(x, b, c):
     m = x > 0.0
     xm = x[m]
     c2 = c * (1.0 + b)
-    amp = c * c * (1.0 + b) ** 2 / (b * (c * b + b + c + 2.0))
     z1 = c * xm
     z2 = c2 * xm
     g1 = specfun.reg_gamma_p_arr(1.0, z1) / c + specfun.reg_gamma_p_arr(2.0, z1) / (c * c)
     g2 = specfun.reg_gamma_p_arr(1.0, z2) / c2 + specfun.reg_gamma_p_arr(2.0, z2) / (c2 * c2)
-    out[m] = amp * (g1 - g2)
+    out[m] = (g1 - g2) / sum(_nwl_masses(b, c))
     return np.clip(out, 0.0, 1.0)
 
 
@@ -440,14 +451,14 @@ _CDF = {
 
 
 def _sf_nwl(x, b, c):
+    # the rate map's tail h(c) - h(c2), h(r) = e^{-rx} (1 + r + rx) / r^2, as
+    # h(c) (1 - e^L) with L = log(h(c2) / h(c)); every term of L is <= 0
     out = np.ones_like(x)
     m = x > 0.0
     xm = x[m]
-    c2 = c * (1.0 + b)
-    amp = c * c * (1.0 + b) ** 2 / (b * (c * b + b + c + 2.0))
-    h1 = np.exp(-c * xm) * (c + 1.0 + c * xm) / (c * c)
-    h2 = np.exp(-c2 * xm) * (c2 + 1.0 + c2 * xm) / (c2 * c2)
-    out[m] = amp * (h1 - h2)
+    u = 1.0 + c + c * xm
+    log_ratio = -c * b * xm - math.log1p(b) + np.log1p(-b / ((1.0 + b) * u))
+    out[m] = np.exp(-c * xm) * u / (c * c) * -np.expm1(log_ratio) / sum(_nwl_masses(b, c))
     return out
 
 
@@ -543,12 +554,13 @@ def _raw_moment_pld(r, b, c):
 
 
 def _raw_moment_nwl(r, b, c):
-    return (
-        math.gamma(r + 1.0)
-        * np.power(c, -float(r))
-        * ((1.0 + b) * (1.0 + b) * (c + r + 1.0) - (1.0 + b) ** (-float(r)) * (c * (1.0 + b) + r + 1.0))
-        / (b * (b * c + b + c + 2.0))
-    )
+    # the rate map's r! (c G_r + (r+1) G_{r+1}) / (c^r (c + G_1)), with
+    # G_j = 1 + v + ... + v^j and v = 1/(1+b): every term is positive
+    v = 1.0 / (1.0 + b)
+    g = [1.0]
+    for _ in range(r + 1):
+        g.append(1.0 + v * g[-1])
+    return math.factorial(r) * np.power(c, -float(r)) * (c * g[r] + (r + 1) * g[r + 1]) / (c + g[1])
 
 
 def _raw_moment_dtl(r, c, x_l, x_u):
@@ -595,16 +607,10 @@ def raw_moment(spec: DistributionSpec, r: int) -> float:
 # Mean with variance, per family.  The mixture, power and new-weighted forms
 # also take parameter arrays, for the batched estimators.
 
-def _mean_variance_pld(b, c):
-    mu = _raw_moment_pld(1, b, c)
-    return mu, _raw_moment_pld(2, b, c) - mu * mu
-
-
-def _mean_variance_nwl(b, c):
-    mu = (b * b * c + 2.0 * b * b + 3.0 * c * b + 6.0 * b + 2.0 * c + 6.0) / (
-        (c * b + b + c + 2.0) * c * (1.0 + b)
-    )
-    return mu, _raw_moment_nwl(2, b, c) - mu * mu
+def _mean_variance_raw(raw_moment, b, c):
+    # nwl mixes Gamma(2) and Gamma(3) parts, so var >= E[X^2]/4 and the difference keeps its digits
+    mu = raw_moment(1, b, c)
+    return mu, raw_moment(2, b, c) - mu * mu
 
 
 def _mean_variance_dtl(c, x_l, x_u):
@@ -614,13 +620,13 @@ def _mean_variance_dtl(c, x_l, x_u):
 
 def _mean_variance_lognormal(m, sigma):
     e = np.exp(sigma * sigma)   # overflows to inf where math.exp raises, so the mean survives
-    return m * math.exp(0.5 * sigma * sigma), e * (e - 1.0) * m * m
+    return m * math.exp(0.5 * sigma * sigma), e * np.expm1(sigma * sigma) * m * m
 
 
 _MEAN_VARIANCE = {
     **_per_mixture(_mean_variance_mixture),
-    Family.PLD: _mean_variance_pld,
-    Family.NWL: _mean_variance_nwl,
+    Family.PLD: functools.partial(_mean_variance_raw, _raw_moment_pld),
+    Family.NWL: functools.partial(_mean_variance_raw, _raw_moment_nwl),
     Family.DTL: _mean_variance_dtl,
     Family.LOGNORMAL: _mean_variance_lognormal,
 }
@@ -701,12 +707,8 @@ def _sample_pld(rng, n, b, c):
 
 
 def _sample_nwl(rng, n, b, c):
-    # (1+x) e^{-cx} (1 - e^{-cbx}) = int_c^{c(1+b)} (x + x^2) e^{-rx} dr, so a draw
-    # is Gamma(2 or 3, rate r) with r mixed over [c, c(1+b)]: shape 2 carries
-    # r-density r^-2 and mass m2, shape 3 carries 2 r^-3 and mass m3.  Both
-    # masses are written without the 1/c - 1/c2 cancellation, for small b.
-    m2 = b / (c * (1.0 + b))
-    m3 = m2 * (2.0 + b) / (c * (1.0 + b))
+    # scale = 1/r, with r drawn from its part's r-density by inverting the mass over [c, r]
+    m2, m3 = _nwl_masses(b, c)
     pick = rng.uniform(size=n) < m2 / (m2 + m3)
     u = rng.uniform(size=n)
     scale = np.where(pick, 1.0 / c - u * m2, np.sqrt(1.0 / (c * c) - u * m3))

@@ -32,7 +32,6 @@ from .errors import (
     FamilyError,
     InfeasibleMomentsError,
     NoSolutionError,
-    ParameterError,
 )
 
 NEWTON_TOL = 1e-10          # max abs defect on the moment equations
@@ -116,13 +115,25 @@ def estimate_lindley1(t: MomentTargets) -> SolveReport:
     )
 
 
+def _closed_form_report(spec: DistributionSpec, t: MomentTargets) -> SolveReport:
+    """The mean and variance defects of a closed-form fit, each judged relative to its target."""
+    residuals = np.array([dist.mean(spec) - t.xbar, dist.variance(spec) - t.s2])
+    converged = bool(np.all(np.abs(residuals) <= NEWTON_TOL * np.array([t.xbar, t.s2])))
+    return SolveReport(spec=spec, residuals=residuals, iterations=0, converged=converged)
+
+
 def estimate_tpld(t: MomentTargets) -> SolveReport:
-    """Closed-form two-parameter estimates from the mean/variance match."""
-    xbar, s2 = t.xbar, t.s2
+    """Closed-form two-parameter estimates from the mean/variance match.
+
+    tpld is a scale family: the match is solved in units of 2^e ~ xbar, where no
+    product of moments under- or overflows, and (b, c) is rescaled exactly.
+    """
+    e = math.frexp(t.xbar)[1]
+    xbar, s2 = math.ldexp(t.xbar, -e), math.ldexp(t.s2, -2 * e)
     radicand = 2.0 * xbar * xbar - 2.0 * s2
     if radicand <= 0:
         raise InfeasibleMomentsError(
-            f"two-parameter estimator needs xbar^2 > s2, got xbar={xbar}, s2={s2}"
+            f"two-parameter estimator needs xbar^2 > s2, got xbar={t.xbar}, s2={t.s2}"
         )
     root = math.sqrt(radicand)
     c_hat = (2.0 * xbar + root) / (s2 + xbar * xbar)
@@ -131,18 +142,8 @@ def estimate_tpld(t: MomentTargets) -> SolveReport:
         * (xbar * root - 2.0 * s2)
         / ((xbar * root + xbar * xbar - s2) * (2.0 * xbar + root))
     )
-    if b_hat * c_hat <= -1.0:
-        raise ParameterError(
-            f"estimated pair violates b*c > -1: b={b_hat}, c={c_hat}"
-        )
-    spec = dist.tpld(b_hat, c_hat)
-    residuals = np.array([dist.mean(spec) - xbar, dist.variance(spec) - s2])
-    return SolveReport(
-        spec=spec,
-        residuals=residuals,
-        iterations=0,
-        converged=bool(np.max(np.abs(residuals)) <= NEWTON_TOL),
-    )
+    # tpld() itself raises ParameterError for a pair with b*c <= -1
+    return _closed_form_report(dist.tpld(math.ldexp(b_hat, e), math.ldexp(c_hat, -e)), t)
 
 
 def estimate_lognormal(t: MomentTargets) -> SolveReport:
@@ -150,14 +151,7 @@ def estimate_lognormal(t: MomentTargets) -> SolveReport:
     sigma2 = math.log1p(t.s2 / (t.xbar * t.xbar))
     sigma = math.sqrt(sigma2)
     m = t.xbar * math.exp(-0.5 * sigma2)
-    spec = dist.lognormal(m, sigma)
-    residuals = np.array([dist.mean(spec) - t.xbar, dist.variance(spec) - t.s2])
-    return SolveReport(
-        spec=spec,
-        residuals=residuals,
-        iterations=0,
-        converged=bool(np.max(np.abs(residuals)) <= NEWTON_TOL),
-    )
+    return _closed_form_report(dist.lognormal(m, sigma), t)
 
 
 # --------------------------------------------------------------------------
@@ -363,8 +357,11 @@ def _gld_seed_scan(m1: float, m2: float, m3: float) -> np.ndarray:
     leaves a quadratic for a at each w and a single ratio equation in w,
     which a dense scan plus bisection solves for every branch.
     """
-    r2 = m2 / (m1 * m1)
-    r3 = m3 / (m1 * m2)
+    # in units of 2^e ~ m1 no product of moments under- or overflows; every ratio is bit-identical
+    e = math.frexp(m1)[1]
+    s1, s2, s3 = (math.ldexp(m, -k * e) for k, m in ((1, m1), (2, m2), (3, m3)))
+    r2 = s2 / (s1 * s1)
+    r3 = s3 / (s1 * s2)
     half = np.geomspace(1e-11, 0.5, 4000)
     ws = np.unique(np.concatenate([half, 1.0 - half]))
     aa = 1.0 - r2

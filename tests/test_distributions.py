@@ -238,6 +238,24 @@ class TestTextbookFormCrossChecks:
                     ref.nwl_raw_moment(r, b, c), rel=1e-10
                 )
 
+    @pytest.mark.parametrize("c", [1e-3, 0.1, 1.0, 10.0, 1e3])
+    @pytest.mark.parametrize("b", [1e-12, 1e-8, 1e-4, 1e-2, 1.0, 1e2, 1e6])
+    def test_nwl_forms_against_mpmath(self, b, c):
+        # mean, variance, m3, pdf and sf within 1e-12 of the exact value
+        # wherever it is at least 1e-300; the forms written as differences of
+        # the two rate ends lost up to 4e-4 of the variance at small b
+        spec = lf.nwl(b, c)
+        xs = np.array([1e-4, 0.1, 1.0, 5.0, 30.0]) / c
+        moments, points = ref.nwl_forms(b, c, xs)
+        got = [lf.mean(spec), lf.variance(spec), lf.raw_moment(spec, 3)]
+        for what, g, want in zip(("mean", "variance", "m3"), got, moments):
+            assert g == pytest.approx(want, rel=1e-12, abs=0.0), (what, g, want)
+        pdf, sf = lf.pdf(spec, xs), lf.sf(spec, xs)
+        for i, (want_pdf, want_sf) in enumerate(points):
+            for what, g, want in (("pdf", pdf[i], want_pdf), ("sf", sf[i], want_sf)):
+                if want >= 1e-300:
+                    assert g == pytest.approx(want, rel=1e-12, abs=0.0), (what, xs[i], g, want)
+
     def test_dtl_whittaker_moment_form(self):
         for c, x_l, x_u in [(2.0, 0.1, 3.0), (2.71, 0.019, 1.46), (4.81, 0.158, 1.317)]:
             for r in (1, 2, 3, 4):
@@ -267,6 +285,15 @@ class TestMoments:
         assert lf.mean(lf.lognormal(1.0, 0.5)) == pytest.approx(
             1.1331484530668263, rel=1e-14
         )
+
+    @pytest.mark.parametrize("sigma", [1e-8, 1e-6, 1e-4, 0.5, 3.0])
+    def test_lognormal_variance_at_small_sigma(self, sigma):
+        # m^2 e^{s^2} (e^{s^2} - 1) with e^{s^2} - 1 by expm1; the difference
+        # was 0 at sigma = 1e-8 and off by 9e-5 at 1e-6
+        with mpmath.workdps(40):
+            s2 = mpmath.mpf(sigma) ** 2
+            want = float(mpmath.mpf(1.7) ** 2 * mpmath.exp(s2) * mpmath.expm1(s2))
+        assert lf.variance(lf.lognormal(1.7, sigma)) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_lognormal_second_moment(self):
         # m^2 e^{2 sigma^2}
@@ -585,6 +612,18 @@ class TestSampling:
             (lf.ngld(2.0, 3.0, 1.5), [
                 5.855993725325481, 1.141167280627153, 5.714473876140369, 1.4382773542115228,
                 0.4341325135527388, 0.5690375320953782, 1.3202913066148732, 3.1999840996834275,
+            ]),
+            (lf.nwl(1.57, 3.77), [
+                0.3405589694537106, 0.10432944454490259, 0.45545490913133435, 0.23311169177654714,
+                0.22466396800617996, 0.7665914854721146, 0.31245858949584315, 0.9491268905825927,
+            ]),
+            (lf.nwl(1e-9, 2.0), [
+                0.6595568703738134, 0.27312130102584553, 0.9097843285312929, 0.8757670271194069,
+                0.6900160592267305, 1.769924652816677, 1.2622811964686569, 2.095187150416152,
+            ]),
+            (lf.nwl(1e6, 0.5), [
+                2.5550479183098362, 1.686056438803106, 3.3962529362075116, 3.2252458911504087,
+                1.0149248028324873, 5.516137570444667, 1.4114769411864552, 6.915227351192805,
             ]),
             (lf.dtl(2.71, 0.019, 1.46), [
                 0.15873964399439375, 0.23895600197984287, 0.2340704793341699, 0.07864855876710429,

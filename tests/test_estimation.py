@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import lindleyfit as lf
 import reference_forms as ref
@@ -463,6 +463,24 @@ class TestLognormal:
         assert lf.variance(r.spec) == pytest.approx(0.6, rel=1e-12)
 
 
+@pytest.mark.parametrize("family", [Family.TPLD, Family.LOGNORMAL])
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1e3, 1e100])
+def test_closed_forms_converge_relative_to_the_targets(family, scale):
+    # 200 gamma(2) draws times scale: an absolute tolerance failed both exact
+    # closed forms from x1e3 up, and tpld's b underflowed to -0 at x1e-100
+    def fit(k):
+        masses = np.random.default_rng(0).gamma(2.0, size=200) * k
+        t = est.MomentTargets.from_summary(lf.summarize(lf.MassCatalog("gamma", masses)))
+        return t, est.estimate(family, t)
+
+    t, r = fit(scale)
+    assert r.converged
+    assert np.all(np.abs(r.residuals) <= 1e-13 * np.array([t.xbar, t.s2])), r.residuals
+    # both are scale families: tpld's (b, c) scale as (k, 1/k), lognormal's (m, sigma) as (k, 1)
+    per_unit = [scale, 1.0 / scale] if family is Family.TPLD else [scale, 1.0]
+    np.testing.assert_allclose(r.spec.params, np.array(fit(1.0)[1].spec.params) * per_unit, rtol=1e-12)
+
+
 class TestDispatch:
     def test_every_family_is_estimable(self):
         rng = np.random.default_rng(53)
@@ -522,6 +540,8 @@ def test_seed_scans_match_the_scalar_loops():
     log_ratio=st.floats(min_value=-6.0, max_value=6.0),
     log_skew=st.floats(min_value=-1.0, max_value=3.0),
 )
+# MomentTargets(1e-108, 1e-216, 2e-323), where m1 * m2 underflows to 0
+@example(family=Family.GLD, log_xbar=-108.0, log_ratio=0.0, log_skew=1.0)
 def test_multistart_estimators_end_in_report_or_typed_error(family, log_xbar, log_ratio, log_skew):
     # s2/xbar^2 = 10^log_ratio and m3/(m1 m2) = 10^log_skew; RuntimeWarnings
     # are errors under the suite's warning filter, so none may leak
