@@ -344,18 +344,52 @@ def _pdf_at_power(x, b, c):
     return np.where((x < 0.0) | (dens == 0.0), 0.0, out)
 
 
+# S(z) / z^2 = sum_k z^k / (k + 2)! with S(z) = e^z - 1 - z, highest power first
+_S_OVER_Z2 = tuple(1.0 / math.factorial(k + 2) for k in range(22, -1, -1))
+
+
+def _s_over_z2(z):
+    """S(z) / z^2 by its series, all terms positive: to the last bit for 0 <= z <= 2."""
+    r = _S_OVER_Z2[0]
+    for a in _S_OVER_Z2[1:]:
+        r = r * z + a
+    return r
+
+
+def _scaled_p12(z):
+    """(P(1, z) / z, P(2, z) / z^2) for z >= 0, the regularized lower incomplete gammas.
+
+    P(1, z) = e^{-z} (z + S(z)) and P(2, z) = e^{-z} S(z): for z <= 2 the
+    ratios come from the series of S(z) / z^2, so neither underflows nor is
+    0/0 as z -> 0; above it they are -expm1(-z) / z and (P(1, z) / z - e^{-z}) / z,
+    which neither overflow nor cancel badly at large z.
+    """
+    small = z <= 2.0
+    zs, zl = np.minimum(z, 2.0), np.maximum(z, 2.0)   # keep each form inside its own range
+    r = _s_over_z2(zs)
+    ez = np.exp(-z)
+    p1 = np.where(small, ez * (1.0 + zs * r), -np.expm1(-z) / zl)
+    return p1, np.where(small, ez * r, (p1 - ez) / zl)
+
+
+# The dtl mass past c (x - lo) = 1e150 is below the last bit of the mass before
+# it, so windows are cut there: c w stays finite and P(2, c w) / (c w)^2 normal.
+_DTL_ZW_MAX = 1e150
+
+
 def _dtl_mass(c, lo, hi):
-    """c^2 M(lo, hi) as its two positive parts, M the mass of (1 + x) e^{-c (x - lo)} on [lo, hi].
+    """M(lo, hi) as its two positive parts, M the mass of (1 + x) e^{-c (x - lo)} on [lo, hi].
 
     In z = c (x - lo) the integrand is (c (1 + lo) + z) e^{-z} / c^2, the
-    Exp(1) / Gamma(2) mixture of tpld(1 + lo, c) past lo, so with
-    zw = c (hi - lo) the mass is (c (1 + lo) P(1, zw) + P(2, zw)) / c^2.  No
-    term cancels, at any rate.  The dtl density is (1 + x) e^{-c (x - x_l)} /
-    M(x_l, x_u), its cdf M(x_l, x) / M(x_l, x_u) and its sf
-    e^{-c (x - x_l)} M(x, x_u) / M(x_l, x_u).
+    Exp(1) / Gamma(2) mixture of tpld(1 + lo, c) past lo, so with w = hi - lo
+    and zw = c w the mass is w ((1 + lo) P(1, zw) / zw + w P(2, zw) / zw^2).
+    No term cancels, and none underflows however small zw is.  The dtl
+    density is (1 + x) e^{-c (x - x_l)} / M(x_l, x_u), its cdf
+    M(x_l, x) / M(x_l, x_u) and its sf e^{-c (x - x_l)} M(x, x_u) / M(x_l, x_u).
     """
-    zw = c * (hi - lo)
-    return (1.0 + lo) * c * -np.expm1(-zw), special.gammainc(2.0, zw)
+    w = np.minimum(hi - lo, _DTL_ZW_MAX / c)
+    p1, p2 = _scaled_p12(c * w)
+    return w * (1.0 + lo) * p1, w * w * p2
 
 
 def _nwl_masses(b, c):
@@ -386,7 +420,7 @@ def _pdf_dtl(x, c, x_l, x_u):
     out = np.zeros_like(x)
     m = (x >= x_l) & (x <= x_u)
     xm = x[m]
-    out[m] = (1.0 + xm) * np.exp(-c * (xm - x_l)) / (sum(_dtl_mass(c, x_l, x_u)) / c / c)
+    out[m] = (1.0 + xm) * np.exp(-c * (xm - x_l)) / sum(_dtl_mass(c, x_l, x_u))
     return out
 
 
@@ -715,17 +749,54 @@ def _sample_nwl(rng, n, b, c):
     return rng.gamma(np.where(pick, 2.0, 3.0), scale)
 
 
+def _truncated_gamma2_inv(u, zw):
+    """z in [0, zw] with P(2, z) = u P(2, zw): the Gamma(2) law truncated to [0, zw], inverted at u.
+
+    Below v = u P(2, zw) = 0.3 this takes two Halley steps on
+    log P(2, z) = log v, written as 2 log(z / s) + log(2 P(2, z) / z^2) = 0
+    with s = sqrt(2 v) = zw sqrt(2 u P(2, zw) / zw^2), so no v below the
+    normal range is formed; they start from the series of the quantile in s.
+    Above 0.3 it takes two Halley steps on z - log1p(z) = L with
+    L = -log(1 - v), the Q(2, z) = e^{-z} (1 + z) form, with
+    1 - v = (1 - u) + u Q(2, zw) free of cancellation; they start from
+    L + log1p(L + log1p(L + sqrt(2 L))).  Both are within a few ulp of the
+    exact quantile.
+    """
+    p2w = _scaled_p12(zw)[1]
+    upper = u * (zw * zw * p2w) >= 0.3
+    lower = ~upper & (u > 0.0)
+    z = np.zeros_like(u)   # u = 0 draws z = 0
+    s = zw * np.sqrt(2.0 * p2w * u[lower])
+    zl = s * (1.0 + s * (1 / 3 + s * (11 / 72 + s * (43 / 540 + s * (769 / 17280 + s * 221 / 8505)))))
+    for _ in range(2):
+        # with R = S(z) / z^2 (z < 2 here), f = log(P(2, z) / v) = 2 log(z / s) + log(2 R) - z,
+        # f' = 1 / (z R) and f'' / (2 f') = (1 - z - 1 / R) / (2 z)
+        r = _s_over_z2(zl)
+        step = (2.0 * np.log(zl / s) + np.log(2.0 * r) - zl) * zl * r
+        zl = zl - step / (1.0 - step * (1.0 - zl - 1.0 / r) / (2.0 * zl))
+    z[lower] = zl
+    u_up = u[upper]
+    neg_log_q = -np.log((1.0 - u_up) + u_up * (math.exp(-zw) * (1.0 + zw)))
+    zh = neg_log_q + np.log1p(neg_log_q + np.log1p(neg_log_q + np.sqrt(2.0 * neg_log_q)))
+    for _ in range(2):
+        # g = z - log1p(z) - L; g' = z / (1 + z), g'' / (2 g') = 1 / (2 z (1 + z))
+        step = (zh - np.log1p(zh) - neg_log_q) * (1.0 + zh) / zh
+        zh = zh - step / (1.0 - step / (2.0 * zh * (1.0 + zh)))
+    z[upper] = zh
+    return z
+
+
 def _sample_dtl(rng, n, c, x_l, x_u):
     # Past x_l the Lindley density is tpld(1 + x_l, c) in x - x_l; in z = c (x - x_l)
     # that is an Exp(1) / Gamma(2) mixture, here truncated to [0, zw] and
     # inverted exactly per component.
-    zw = c * (x_u - x_l)
-    w_exp, p2 = _dtl_mass(c, x_l, x_u)
-    pick = rng.uniform(size=n) < w_exp / (w_exp + p2)
+    zw = min(c * (x_u - x_l), _DTL_ZW_MAX)
+    w_exp, w_gamma = _dtl_mass(c, x_l, x_u)
+    pick = rng.uniform(size=n) < w_exp / (w_exp + w_gamma)
     u = rng.uniform(size=n)
-    z = np.empty(n)
-    z[pick] = -np.log1p(u[pick] * math.expm1(-zw))
-    z[~pick] = special.gammaincinv(2.0, u[~pick] * p2)
+    z = -np.log1p(u * math.expm1(-zw))
+    gamma = ~pick
+    z[gamma] = _truncated_gamma2_inv(u[gamma], zw)
     # z / c can round a last bit past the window
     return np.clip(x_l + z / c, x_l, x_u)
 

@@ -6,7 +6,8 @@ closed forms.  Their Whittaker M and upper incomplete gamma factors come from
 mpmath, an implementation independent of the package.  They cancel badly at
 large rate*x, which is exactly why the shipped code uses incomplete-gamma
 compositions instead; at the moderate arguments used in tests both agree to
-~1e-10.  Also provides brute-force
+~1e-10.  Also provides a Gamma(2) quantile oracle, the dtl sampler as it
+stood with scipy's gammaincinv, and brute-force
 root enumerations of the three-parameter moment systems, used to decide
 whether a parameter vector is the canonical (smallest-c) root of its own
 moments.  Production code never imports this module.
@@ -16,7 +17,7 @@ import math
 
 import mpmath
 import numpy as np
-from scipy import optimize
+from scipy import optimize, special
 
 exp = math.exp
 
@@ -124,14 +125,17 @@ def dtl_cdf(x, c, x_l, x_u):
 
 
 def dtl_forms(x, c, x_l, x_u):
-    """dtl (pdf, cdf, sf) at x from the antiderivative of (1 + t) e^{-ct}, at 40 digits.
+    """dtl (pdf, cdf, sf) at x from the antiderivative of (1 + t) e^{-ct}, to at least 40 digits.
 
     The mass of (1 + t) e^{-c (t - lo)} on [lo, hi] is
     (1 + lo)(1 - e^{-z})/c + (1 - e^{-z} - z e^{-z})/c^2 with z = c (hi - lo);
     1 - e^{-z} is taken by expm1, so only 1 - e^{-z} - z e^{-z} cancels; it
-    loses log10(1/z) digits, at most 21 of the 40 on the tests' points.
+    loses log10(1/z) digits, about |log10(c (x_u - x_l))| plus 9 more at the
+    tests' points 1e-9 of the window from either end, so the working
+    precision grows by that many digits past 40.
     """
-    with mpmath.workdps(40):
+    lost = max(0, -math.floor(math.log10(c * (x_u - x_l))))
+    with mpmath.workdps(50 + lost):
         x, c, x_l, x_u = (mpmath.mpf(v) for v in (x, c, x_l, x_u))
 
         def mass(lo, hi):
@@ -145,6 +149,67 @@ def dtl_forms(x, c, x_l, x_u):
             float(mass(x_l, x) / total),
             float(mpmath.exp(-c * (x - x_l)) * mass(x, x_u) / total),
         )
+
+
+def gamma2_cdf(z):
+    """P(2, z) = e^{-z} sum_{k >= 2} z^k / k! as an mpf, at the caller's working precision.
+
+    Every term is positive, so no digit cancels however small z is.
+    """
+    z = mpmath.mpf(z)
+    term = total = z * z / 2
+    k = 2
+    while term > total * mpmath.eps:
+        k += 1
+        term = term * z / k
+        total += term
+    return mpmath.exp(-z) * total
+
+
+def gamma2_quantile(v):
+    """z with P(2, z) = v for 0 < v < 1, at least 40 correct digits.
+
+    ``v`` is taken as exact (a float or an mpf).  Newton steps at 60 digits
+    on log P(2, z) = log v below v = 1/2, and on the Q(2, z) = e^{-z} (1 + z)
+    form z - log1p(z) = -log(1 - v) above it, where 1 - v is exact.
+    """
+    with mpmath.workdps(60):
+        v = mpmath.mpf(v)
+        tol = mpmath.mpf(10) ** -50
+        if v < 0.5:
+            z = mpmath.sqrt(2 * v)
+            for _ in range(100):
+                p = gamma2_cdf(z)
+                step = mpmath.log(p / v) * p / (z * mpmath.exp(-z))
+                z -= step
+                if abs(step) < tol * z:
+                    return z
+        else:
+            neg_log_q = -mpmath.log(1 - v)
+            z = neg_log_q + 1
+            for _ in range(100):
+                step = (z - mpmath.log1p(z) - neg_log_q) * (1 + z) / z
+                z -= step
+                if abs(step) < tol * z:
+                    return z
+    raise ArithmeticError(f"gamma2_quantile did not converge at v={v}")
+
+
+def dtl_sample_gammaincinv(rng, n, c, x_l, x_u):
+    """The dtl sampler with scipy's gammaincinv for its Gamma(2) part.
+
+    Same uniforms in the same order as the shipped sampler: a pick between the
+    Exp(1) and Gamma(2) parts of the shifted variable z = c (x - x_l), each
+    truncated to [0, c (x_u - x_l)] and inverted at a second uniform.
+    """
+    zw = c * (x_u - x_l)
+    w_exp, p2 = (1.0 + x_l) * c * -np.expm1(-zw), special.gammainc(2.0, zw)
+    pick = rng.uniform(size=n) < w_exp / (w_exp + p2)
+    u = rng.uniform(size=n)
+    z = np.empty(n)
+    z[pick] = -np.log1p(u[pick] * math.expm1(-zw))
+    z[~pick] = special.gammaincinv(2.0, u[~pick] * p2)
+    return np.clip(x_l + z / c, x_l, x_u)
 
 
 def nwl_forms(b, c, xs):

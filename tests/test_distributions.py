@@ -8,7 +8,7 @@ from scipy import integrate, stats
 import lindleyfit as lf
 import reference_forms as ref
 from conftest import ALL_FAMILIES, SELF_SAMPLE_SPECS, interior_grid, random_spec
-from lindleyfit.distributions import Family
+from lindleyfit.distributions import Family, _truncated_gamma2_inv
 from lindleyfit.errors import (
     DomainError,
     FamilyError,
@@ -174,15 +174,17 @@ class TestTextbookFormCrossChecks:
         for x in interior_grid(spec, n=15):
             assert lf.cdf(spec, x) == pytest.approx(form(x), abs=1e-9), x
 
-    DTL_RATES = [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 2.71, 25.0, 300.0]
+    DTL_RATES = [1e-300, 1e-200, 1e-160, 1e-100, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 2.71, 25.0, 300.0]
     DTL_WINDOWS = [(0.0, 1.0), (0.019, 1.46), (0.08, 60.0), (5.0, 6.0), (1000.0, 1001.0), (0.0, 1e3)]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("window", DTL_WINDOWS, ids=str)
     @pytest.mark.parametrize("c", DTL_RATES)
     def test_dtl_forms_against_mpmath(self, c, window):
         # pdf, cdf and sf within 1e-12 of the exact value wherever it is at
         # least 1e-300, ends of the window included; the normaliser written as
-        # a difference of two exponential terms lost every digit at small c w
+        # a difference of two exponential terms lost every digit at small c w,
+        # and its incomplete gammas P(1, c w) and P(2, c w) underflow below 1e-154
         x_l, x_u = window
         spec = lf.dtl(c, x_l, x_u)
         fractions = np.concatenate([[1e-9, 1e-3, 1.0 - 1e-3, 1.0 - 1e-9], np.linspace(0.0, 1.0, 17)])
@@ -626,8 +628,8 @@ class TestSampling:
                 1.0149248028324873, 5.516137570444667, 1.4114769411864552, 6.915227351192805,
             ]),
             (lf.dtl(2.71, 0.019, 1.46), [
-                0.15873964399439375, 0.23895600197984287, 0.2340704793341699, 0.07864855876710429,
-                0.3756048080229951, 0.47896581737678834, 1.205472871764052, 0.4114787323572719,
+                0.15873964399439378, 0.23895600197984287, 0.23407047933416997, 0.07864855876710429,
+                0.3756048080229951, 0.47896581737678834, 1.2054728717640522, 0.41147873235727184,
             ]),
         ],
         ids=str,
@@ -635,6 +637,23 @@ class TestSampling:
     def test_mixture_streams_frozen(self, spec, golden):
         # first draws of the per-family samplers; the shared mixture sampler must not move them
         np.testing.assert_array_equal(lf.sample(spec, 1000, 42)[:8], golden)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("spec", [s for s in SAMPLER_SPECS if s.family is Family.DTL], ids=str)
+    def test_dtl_draws_match_the_gammaincinv_sampler(self, spec, seed):
+        # same uniforms, same inversion: only the Gamma(2) quantile's rounding differs
+        got = lf.sample(spec, 100_000, seed)
+        want = ref.dtl_sample_gammaincinv(np.random.default_rng(seed), 100_000, *spec.params)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1e-100, 1e-160, 1e-200, 1e-300])
+    def test_dtl_draws_at_tiny_rate(self, c):
+        # as c (x_u - x_l) -> 0 the law on [0, 1] tends to density (1 + x) / 1.5;
+        # where P(2, c) underflowed every draw fell in the Exp(1) part
+        draws = lf.sample(lf.dtl(c, 0.0, 1.0), 100_000, 3)
+        p = stats.kstest(draws, lambda x: (x + 0.5 * x * x) / 1.5).pvalue
+        assert p >= 1e-6, (c, p)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("spec", SAMPLER_SPECS, ids=str)
@@ -666,3 +685,29 @@ class TestSampling:
         # legal vector, but its signed density is no distribution to draw from
         with pytest.raises(DomainError):
             lf.sample(lf.tpld(-0.099, 4.2), 10, 1)
+
+
+class TestTruncatedGamma2Inverse:
+    """The dtl sampler's Gamma(2) quantile against a 60-digit Newton oracle."""
+
+    @staticmethod
+    def _assert_quantiles(got, targets):
+        for g, v in zip(got, targets):
+            want = ref.gamma2_quantile(v)
+            assert abs(g - want) <= 1e-14 * want, (v, g, want)
+
+    def test_untruncated(self):
+        # P(2, 800) is 1 to far below an ulp, so this inverts P(2, z) = u itself;
+        # the two branches join at v = 0.3, and the oracle switches form at 0.5
+        near = [v + k * np.spacing(v) for v in (0.3, 0.5) for k in range(-3, 4)]
+        vs = np.concatenate([np.geomspace(1e-300, 0.5, 400), 1.0 - np.geomspace(0.5, 1e-12, 200), near])
+        self._assert_quantiles(_truncated_gamma2_inv(vs, 800.0), vs)
+
+    # P(2, zw) / zw^2 switches from its series to the expm1 form past zw = 2
+    @pytest.mark.parametrize("zw", [1e-300, 1e-150, 1e-6, 0.5, 1.0, 2.0, 2.0000000000000004, 3.905, 30.0])
+    def test_truncated(self, zw):
+        u = np.concatenate([[2.0**-53, 1e-9, 0.5, 1.0 - 2.0**-53], np.random.default_rng(0).uniform(size=40)])
+        got = _truncated_gamma2_inv(u, zw)
+        with mpmath.workdps(60):
+            p2w = ref.gamma2_cdf(zw)
+            self._assert_quantiles(got, [mpmath.mpf(ui) * p2w for ui in u])
