@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CatalogError, DegenerateSampleError
+from .errors import CatalogError, DegenerateSampleError, DomainError
 
 
 class CatalogWarning(UserWarning):
@@ -132,14 +132,24 @@ def load_csv(path, column=0, name: str | None = None) -> MassCatalog:
 
 
 def summarize(cat: MassCatalog) -> SampleSummary:
-    """Sample mean, unbiased variance, raw moments of orders 1-3, and extremes."""
+    """Sample mean, unbiased variance, raw moments of orders 1-3, and extremes.
+
+    A raw moment that overflows to inf or underflows to 0 in double precision
+    (masses above about 5.6e102 or below about 1e-108 for the third) raises
+    :class:`DomainError` naming that moment.
+    """
     m = cat.masses
     n = m.size
     if n < 2:
         raise DegenerateSampleError("summary of a single observation has no variance")
-    xbar = float(np.mean(m))
-    s2 = float(np.sum((m - xbar) ** 2) / (n - 1))
-    raw = (xbar, float(np.mean(m**2)), float(np.mean(m**3)))
+    with np.errstate(over="ignore", under="ignore"):
+        xbar = float(np.mean(m))
+        s2 = float(np.sum((m - xbar) ** 2) / (n - 1))
+        raw = (xbar, float(np.mean(m**2)), float(np.mean(m**3)))
+    for order, value in zip(("first", "second", "third"), raw):
+        if not 0.0 < value < math.inf:
+            how = "overflows to inf" if value else "underflows to 0"
+            raise DomainError(f"{cat.name}: the {order} raw moment of the masses {how} in double precision")
     return SampleSummary(
         n=int(n),
         xbar=xbar,

@@ -76,10 +76,13 @@ def _parse_families(text: str) -> tuple[Family, ...]:
         if not token:
             continue
         try:
-            out.append(Family(token))
+            family = Family(token)
         except ValueError:
             valid = ", ".join(f.value for f in ALL_FAMILIES)
             raise ValueError(f"unknown family {token!r}; valid: {valid}") from None
+        if family in out:
+            raise ValueError(f"family {token!r} is listed more than once")
+        out.append(family)
     return tuple(out)
 
 
@@ -226,15 +229,20 @@ def cmd_fit(config: RunConfig) -> int:
 def cmd_plotdata(config: RunConfig, family: Family) -> int:
     if not config.out_dir:
         raise ValueError("plotdata requires a nonempty --out directory")
-    path = config.inputs[0]
+    results = [_plot_catalog(config, family, path) for path in config.inputs]
+    return 0 if all(results) else 1
+
+
+def _plot_catalog(config: RunConfig, family: Family, path: str) -> bool:
+    """Write one catalog's four plot CSVs; False when the family does not fit it."""
     cat = load_csv(path, column=_column_arg(config.column))
     summ = summarize(cat)
     targets = estimation.MomentTargets.from_summary(summ)
     try:
         solve = estimation.estimate(family, targets)
     except LindleyFitError as exc:
-        print(f"fit failed for {family.value}: {exc}", file=sys.stderr)
-        return 1
+        print(f"{cat.name}: fit failed for {family.value}: {exc}", file=sys.stderr)
+        return False
     spec = solve.spec
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -256,7 +264,7 @@ def cmd_plotdata(config: RunConfig, family: Family) -> int:
     ecdf = np.arange(1, xs.size + 1) / xs.size
     _write_columns(out / f"{stem}_ecdf.csv", ("x", "ecdf"), zip(xs, ecdf))
     print(f"wrote {stem}_{{hist,pdf,cdf,ecdf}}.csv to {out}")
-    return 0
+    return True
 
 
 def _write_columns(path: Path, header, rows) -> None:
@@ -300,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--out", default=None, help="directory for machine-readable reports")
 
     plot = sub.add_parser("plotdata", help="write plot-ready CSV columns for one family")
-    plot.add_argument("--input", action="append", required=True, help="catalog CSV")
+    plot.add_argument("--input", action="append", required=True, help="catalog CSV (repeatable)")
     plot.add_argument("--column", default="0")
     plot.add_argument("--family", required=True, help="family to plot")
     plot.add_argument("--bins", type=int, default=20)

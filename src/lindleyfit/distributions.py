@@ -271,23 +271,17 @@ def _pdf_mixture(mix, x, *params):
     return np.where(np.isnan(out), np.inf, out)
 
 
-def _mixture_sum(reg_gamma, at_zero: float, weights, x):
-    """w1 R(s1, rate x) + w2 R(s2, rate x) for R = P or Q; ``at_zero`` for x <= 0."""
-    w1, w2, s1, s2, rate = weights
-    out = np.full_like(x, at_zero)
-    m = x > 0.0
-    z = rate * x[m]
-    out[m] = w1 * reg_gamma(s1, z) + w2 * reg_gamma(s2, z)
+def _mixture_sum(reg_gamma, mix, x, *params):
+    """w1 R(s1, rate x) + w2 R(s2, rate x) for R = P (the cdf) or Q (the sf)."""
+    w1, w2, s1, s2, rate = mix(*params)
+    z = rate * x
+    out = w1 * reg_gamma(s1, z) + w2 * reg_gamma(s2, z)
     # a signed density (tpld with b < 0) keeps its signed distribution functions
     return np.clip(out, 0.0, 1.0) if w1 >= 0.0 and w2 >= 0.0 else out
 
 
-def _cdf_mixture(mix, x, *params):
-    return _mixture_sum(specfun.reg_gamma_p_arr, 0.0, mix(*params), x)
-
-
-def _sf_mixture(mix, x, *params):
-    return _mixture_sum(specfun.reg_gamma_q_arr, 1.0, mix(*params), x)
+_cdf_mixture = functools.partial(_mixture_sum, specfun.reg_gamma_p_arr)
+_sf_mixture = functools.partial(_mixture_sum, specfun.reg_gamma_q_arr)
 
 
 def _rising(x, n: int):
@@ -327,21 +321,23 @@ def _sample_mixture(mix, rng, n, *params):
 # lindley1 at a power (pld) and truncated to a window (dtl)
 # --------------------------------------------------------------------------
 
-def _at_power(form, x, b, c):
-    """``form`` of lindley1(b) at x**c: the pld cdf and sf."""
+def _at_power(form, edge: float, x, b, c):
+    """``form`` of lindley1(b) at x**c: the pld cdf and sf, which keep ``edge``,
+    their value at x = 0, where x**c underflows to 0."""
     with np.errstate(over="ignore"):
-        t = np.maximum(x, 0.0) ** c
-    return form(_mixture_lindley1, t, b)
+        t = x ** c
+    return np.where(t > 0.0, form(_mixture_lindley1, t, b), edge)
 
 
 def _pdf_at_power(x, b, c):
     """The pld density by the change of variables t = x**c: c x^(c-1) times lindley1(b)'s at t."""
-    dens = _at_power(_pdf_mixture, x, b, c)
+    with np.errstate(over="ignore"):
+        dens = _pdf_mixture(_mixture_lindley1, x ** c, b)
     # x^(c-1) is inf at x = 0 when c < 1, and may overflow where the density
-    # at t has already underflowed to 0; below 0 the density is 0
+    # at t has already underflowed to 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = c * np.maximum(x, 0.0) ** (c - 1.0) * dens
-    return np.where((x < 0.0) | (dens == 0.0), 0.0, out)
+        out = c * x ** (c - 1.0) * dens
+    return np.where(dens == 0.0, 0.0, out)
 
 
 # S(z) / z^2 = sum_k z^k / (k + 2)! with S(z) = e^z - 1 - z, highest power first
@@ -409,28 +405,20 @@ def _nwl_masses(b, c):
 # --------------------------------------------------------------------------
 
 def _pdf_nwl(x, b, c):
-    out = np.zeros_like(x)
-    m = x >= 0.0
-    xm = x[m]
-    out[m] = (1.0 + xm) * (-np.expm1(-c * b * xm)) * np.exp(-c * xm) / sum(_nwl_masses(b, c))
-    return out
+    return (1.0 + x) * (-np.expm1(-c * b * x)) * np.exp(-c * x) / sum(_nwl_masses(b, c))
 
 
 def _pdf_dtl(x, c, x_l, x_u):
-    out = np.zeros_like(x)
-    m = (x >= x_l) & (x <= x_u)
-    xm = x[m]
-    out[m] = (1.0 + xm) * np.exp(-c * (xm - x_l)) / sum(_dtl_mass(c, x_l, x_u))
-    return out
+    return (1.0 + x) * np.exp(-c * (x - x_l)) / sum(_dtl_mass(c, x_l, x_u))
 
 
 def _pdf_lognormal(x, m, sigma):
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    xp = x[pos]
-    z = np.log(xp / m) / sigma
-    out[pos] = np.exp(-0.5 * z * z) / (xp * sigma * math.sqrt(2.0 * math.pi))
-    return out
+    # the density tends to 0 as x -> 0, where the formula is 0/0 once x / m or
+    # the denominator underflows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.log(x / m) / sigma
+        out = np.exp(-0.5 * z * z) / (x * sigma * math.sqrt(2.0 * math.pi))
+    return np.where(np.isnan(out), 0.0, out)
 
 
 _PDF = {
@@ -447,37 +435,25 @@ _PDF = {
 # --------------------------------------------------------------------------
 
 def _cdf_nwl(x, b, c):
-    out = np.zeros_like(x)
-    m = x > 0.0
-    xm = x[m]
     c2 = c * (1.0 + b)
-    z1 = c * xm
-    z2 = c2 * xm
+    z1, z2 = c * x, c2 * x
     g1 = specfun.reg_gamma_p_arr(1.0, z1) / c + specfun.reg_gamma_p_arr(2.0, z1) / (c * c)
     g2 = specfun.reg_gamma_p_arr(1.0, z2) / c2 + specfun.reg_gamma_p_arr(2.0, z2) / (c2 * c2)
-    out[m] = (g1 - g2) / sum(_nwl_masses(b, c))
-    return np.clip(out, 0.0, 1.0)
+    return np.clip((g1 - g2) / sum(_nwl_masses(b, c)), 0.0, 1.0)
 
 
 def _cdf_dtl(x, c, x_l, x_u):
-    out = np.zeros_like(x)
-    m = (x > x_l) & (x < x_u)
-    out[m] = sum(_dtl_mass(c, x_l, x[m])) / sum(_dtl_mass(c, x_l, x_u))
-    out[x >= x_u] = 1.0
-    return np.clip(out, 0.0, 1.0)
+    return np.clip(sum(_dtl_mass(c, x_l, x)) / sum(_dtl_mass(c, x_l, x_u)), 0.0, 1.0)
 
 
 def _cdf_lognormal(x, m, sigma):
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    xp = x[pos]
-    out[pos] = 0.5 + 0.5 * specfun.erf_arr((np.log(xp) - math.log(m)) / (sigma * _SQRT2))
-    return np.clip(out, 0.0, 1.0)
+    z = (np.log(x) - math.log(m)) / (sigma * _SQRT2)
+    return np.clip(0.5 + 0.5 * specfun.erf_arr(z), 0.0, 1.0)
 
 
 _CDF = {
     **_per_mixture(_cdf_mixture),
-    Family.PLD: functools.partial(_at_power, _cdf_mixture),
+    Family.PLD: functools.partial(_at_power, _cdf_mixture, 0.0),
     Family.NWL: _cdf_nwl,
     Family.DTL: _cdf_dtl,
     Family.LOGNORMAL: _cdf_lognormal,
@@ -487,63 +463,62 @@ _CDF = {
 def _sf_nwl(x, b, c):
     # the rate map's tail h(c) - h(c2), h(r) = e^{-rx} (1 + r + rx) / r^2, as
     # h(c) (1 - e^L) with L = log(h(c2) / h(c)); every term of L is <= 0
-    out = np.ones_like(x)
-    m = x > 0.0
-    xm = x[m]
-    u = 1.0 + c + c * xm
-    log_ratio = -c * b * xm - math.log1p(b) + np.log1p(-b / ((1.0 + b) * u))
-    out[m] = np.exp(-c * xm) * u / (c * c) * -np.expm1(log_ratio) / sum(_nwl_masses(b, c))
-    return out
+    u = 1.0 + c + c * x
+    log_ratio = -c * b * x - math.log1p(b) + np.log1p(-b / ((1.0 + b) * u))
+    return np.exp(-c * x) * u / (c * c) * -np.expm1(log_ratio) / sum(_nwl_masses(b, c))
 
 
 def _sf_dtl(x, c, x_l, x_u):
-    out = np.ones_like(x)
-    m = (x > x_l) & (x < x_u)
-    xm = x[m]
-    out[m] = np.exp(-c * (xm - x_l)) * sum(_dtl_mass(c, xm, x_u)) / sum(_dtl_mass(c, x_l, x_u))
-    out[x >= x_u] = 0.0
-    return out
+    return np.exp(-c * (x - x_l)) * sum(_dtl_mass(c, x, x_u)) / sum(_dtl_mass(c, x_l, x_u))
 
 
 def _sf_lognormal(x, m, sigma):
-    out = np.ones_like(x)
-    pos = x > 0.0
-    xp = x[pos]
-    out[pos] = 0.5 * specfun.erfc_arr((np.log(xp) - math.log(m)) / (sigma * _SQRT2))
-    return out
+    return 0.5 * specfun.erfc_arr((np.log(x) - math.log(m)) / (sigma * _SQRT2))
 
 
 _SF = {
     **_per_mixture(_sf_mixture),
-    Family.PLD: functools.partial(_at_power, _sf_mixture),
+    Family.PLD: functools.partial(_at_power, _sf_mixture, 1.0),
     Family.NWL: _sf_nwl,
     Family.DTL: _sf_dtl,
     Family.LOGNORMAL: _sf_lognormal,
 }
 
 
-def _eval(table, spec: DistributionSpec, x):
+def _eval(table, spec: DistributionSpec, x, below: float, above: float, closed: bool = False):
+    """``table``'s form for ``spec`` at x inside the support, ``below``/``above`` beyond it.
+
+    A ``closed`` form (the density) is evaluated on the support's edges; the
+    others take ``below`` at the lower edge and ``above`` at the upper one.
+    """
     arr = np.asarray(x, dtype=float)
     if arr.size and not np.all(np.isfinite(arr)):
         raise DomainError("evaluation points must be finite")
     scalar = arr.ndim == 0
-    vals = table[spec.family](np.atleast_1d(arr).astype(float), *spec.params)
+    arr = np.atleast_1d(arr)
+    sup = support(spec)
+    if closed:
+        inside = (arr >= sup.lower) & (arr <= sup.upper)
+    else:
+        inside = (arr > sup.lower) & (arr < sup.upper)
+    vals = np.where(arr < sup.upper, below, above)
+    vals[inside] = table[spec.family](arr[inside], *spec.params)
     return float(vals[0]) if scalar else vals
 
 
 def pdf(spec: DistributionSpec, x):
-    """Density at x (0 outside the support); scalar in, scalar out."""
-    return _eval(_PDF, spec, x)
+    """Density at x, 0 outside the support; scalar in, scalar out."""
+    return _eval(_PDF, spec, x, 0.0, 0.0, closed=True)
 
 
 def cdf(spec: DistributionSpec, x):
-    """Distribution function at x."""
-    return _eval(_CDF, spec, x)
+    """Distribution function at x: 0 up to the support's lower edge, 1 from its upper edge."""
+    return _eval(_CDF, spec, x, 0.0, 1.0)
 
 
 def sf(spec: DistributionSpec, x):
-    """Survival function 1 - F(x), computed directly for tail accuracy."""
-    return _eval(_SF, spec, x)
+    """Survival function 1 - F(x), computed directly: 1 up to the lower edge, 0 from the upper."""
+    return _eval(_SF, spec, x, 1.0, 0.0)
 
 
 def hazard(spec: DistributionSpec, x):

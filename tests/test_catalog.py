@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import lindleyfit as lf
 from lindleyfit.catalog import CatalogWarning, MassCatalog, load_csv, summarize
-from lindleyfit.errors import CatalogError, DegenerateSampleError
+from lindleyfit.errors import CatalogError, DegenerateSampleError, DomainError
 
 
 class TestLoadCsv:
@@ -109,6 +109,17 @@ class TestSummarize:
         s = summarize(MassCatalog("huge", masses))
         assert len(s.raw_moments) == 3
         assert s.raw_moments[2] == pytest.approx(float(np.mean((masses / 1e80) ** 3)) * 1e240, rel=1e-14)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "scale,order,how",
+        [(1e150, "third", "overflows to inf"), (1e-110, "third", "underflows to 0"),
+         (1e160, "second", "overflows to inf"), (1e-170, "second", "underflows to 0")],
+    )
+    def test_unrepresentable_raw_moment_named(self, scale, order, how):
+        masses = scale * np.array([0.31, 0.77, 1.23, 2.9])
+        with pytest.raises(DomainError, match=f"the {order} raw moment of the masses {how}"):
+            summarize(MassCatalog("scaled", masses))
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -135,6 +135,25 @@ class TestFit:
         code, _, err = run(capsys, "fit", "--input", str(synth_csv), "--families", ",")
         assert code == 2
 
+    def test_repeated_family_is_config_error(self, synth_csv, capsys):
+        # a repeated family was fitted twice and both identical rows starred as best
+        code, stdout, err = run(capsys, "fit", "--input", str(synth_csv), "--families", "lindley1, LINDLEY1")
+        assert code == 2
+        assert err.startswith("error:") and "'lindley1'" in err, err
+        assert stdout == ""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale,how", [(1e150, "overflows to inf"), (1e-110, "underflows to 0")])
+    def test_unrepresentable_moment_is_config_error(self, tmp_path, capsys, scale, how):
+        # m**3 overflowed with a RuntimeWarning above about 5.6e102, and the
+        # error then read "third raw moment must be positive, got inf"
+        masses = np.random.default_rng(0).gamma(2.0, size=200) * scale
+        path = tmp_path / "scaled.csv"
+        path.write_text("\n".join(repr(float(v)) for v in masses) + "\n")
+        code, _, err = run(capsys, "fit", "--input", str(path))
+        assert code == 2
+        assert err == f"error: scaled: the third raw moment of the masses {how} in double precision\n"
+
     def test_bins_must_exceed_parameter_count(self, synth_csv, capsys):
         code, _, err = run(capsys, "fit", "--input", str(synth_csv), "--bins", "3")
         assert code == 2
@@ -181,6 +200,30 @@ class TestPlotdata:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err
         assert not (tmp_path / "plot").exists()
+
+    def test_plots_every_input(self, synth_csv, tmp_path, capsys):
+        # only the first --input was plotted, with exit code 0
+        second = tmp_path / "second.csv"
+        second.write_text(synth_csv.read_text())
+        wide = tmp_path / "wide.csv"
+        rng = np.random.default_rng(3)
+        masses = np.concatenate([rng.uniform(0.05, 0.2, 300), rng.uniform(2.0, 9.0, 120)])
+        wide.write_text("\n".join(repr(float(v)) for v in masses) + "\n")
+        out = tmp_path / "plot"
+        code, _, _ = run(capsys, "plotdata", "--input", str(synth_csv), "--input", str(second),
+                         "--family", "lindley1", "--out", str(out))
+        assert code == 0
+        kinds = ("hist", "pdf", "cdf", "ecdf")
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            f"{stem}_lindley1_{kind}.csv" for stem in ("synth", "second") for kind in kinds
+        )
+        # tpld cannot fit the wide sample (variance above mean^2): exit 1, the other catalog still plotted
+        code, _, err = run(capsys, "plotdata", "--input", str(wide), "--input", str(synth_csv),
+                           "--family", "tpld", "--out", str(out))
+        assert code == 1
+        assert err.startswith("wide: fit failed for tpld"), err
+        assert all((out / f"synth_tpld_{kind}.csv").exists() for kind in kinds)
+        assert not any(out.glob("wide_*"))
 
     def test_requires_out(self, synth_csv, capsys):
         code, _, err = run(capsys, "plotdata", "--input", str(synth_csv),

@@ -151,6 +151,73 @@ class TestCdf:
                 assert lf.sf(spec, x) + lf.cdf(spec, x) == pytest.approx(1.0, abs=1e-12)
 
 
+# Every family, with the cases where an edge is easy to get wrong: a signed
+# tpld density, a pld whose x**c underflows next to 0 and whose lindley1
+# weights sum to 1 - 2^-53, a gld density that is inf at 0, a dtl window off
+# 0, and a lognormal whose x / m underflows at the first subnormal.
+EDGE_SPECS = [
+    lf.lindley1(0.04),
+    lf.tpld(-0.3, 2.0),
+    lf.pld(0.04, 3.0),
+    lf.pld(2.0, 0.5),
+    lf.gld(0.5, 1.0, 2.0),
+    lf.ngld(0.3, 2.5, 1.2),
+    lf.nwl(0.5, 1.5),
+    lf.dtl(0.5, 2.0, 5.0),
+    lf.dtl(1.5, 0.0, 3.0),
+    lf.lognormal(10.0, 0.5),
+]
+
+
+class TestSupportEdges:
+    """pdf, cdf and sf below, at and above each support edge, and one ulp from it."""
+
+    @staticmethod
+    def points(spec):
+        """(outside below, on the lower edge, inside, on the upper edge, outside above) point sets."""
+        sup = lf.support(spec)
+        lo, hi = sup.lower, sup.upper
+        below = [-1e300, lo - 1.0, np.nextafter(lo, -np.inf)]
+        at_lo = [lo, -0.0] if lo == 0.0 else [lo]
+        finite = math.isfinite(hi)
+        inside = [np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf) if finite else 1e300]
+        at_hi = [hi] if finite else []
+        above = [np.nextafter(hi, np.inf), hi + 1.0, 1e300] if finite else []
+        return below, at_lo, inside, at_hi, above
+
+    @staticmethod
+    def evaluate(form, spec, xs):
+        """``form`` at xs as an array, checked against the scalar calls point by point."""
+        arr = form(spec, np.array(xs, dtype=float))
+        scalars = np.array([form(spec, float(x)) for x in xs])
+        assert np.array_equal(arr, scalars), (spec, xs, arr, scalars)
+        return arr
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("spec", EDGE_SPECS, ids=str)
+    def test_fill_values_and_edges(self, spec):
+        below, at_lo, inside, at_hi, above = self.points(spec)
+        outside = below + above
+        assert np.all(self.evaluate(lf.pdf, spec, outside) == 0.0)
+        dens = self.evaluate(lf.pdf, spec, at_lo + inside + at_hi)
+        assert not np.any(np.isnan(dens)), dens   # tpld(-0.3, 2)'s density is signed near 0
+        assert np.all(self.evaluate(lf.cdf, spec, below + at_lo) == 0.0)
+        assert np.all(self.evaluate(lf.cdf, spec, at_hi + above) == 1.0)
+        assert np.all(self.evaluate(lf.sf, spec, below + at_lo) == 1.0)
+        assert np.all(self.evaluate(lf.sf, spec, at_hi + above) == 0.0)
+        # one ulp inside an edge the functions are within rounding of their edge values
+        near = self.evaluate(lf.cdf, spec, inside)
+        assert abs(near[0]) <= 1e-6 and abs(1.0 - near[-1]) <= 1e-6, near
+        near = self.evaluate(lf.sf, spec, inside)
+        assert abs(1.0 - near[0]) <= 1e-6 and abs(near[-1]) <= 1e-6, near
+
+    def test_pld_sf_keeps_its_edge_value_where_the_power_underflows(self):
+        # x**3 is 0 below about 1e-108, where lindley1(0.04)'s weights would sum to 1 - 2^-53
+        spec = lf.pld(0.04, 3.0)
+        assert lf.sf(spec, 1e-200) == 1.0
+        assert lf.cdf(spec, 1e-200) == 0.0
+
+
 class TestTextbookFormCrossChecks:
     """The shipped gamma-composition CDFs against the one-expression forms."""
 
