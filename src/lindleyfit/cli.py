@@ -8,7 +8,8 @@ Subcommands:
 * ``synth``     write synthetic draws from a known distribution as CSV.
 
 Exit codes: 0 success, 1 partial failure (some families failed to fit),
-2 configuration or I/O error.
+2 configuration or I/O error.  A catalog that cannot be read or summarised
+gives exit code 2, but the other catalogs are still fitted.
 """
 
 from __future__ import annotations
@@ -214,23 +215,37 @@ def _write_report(report: dict, config: RunConfig) -> None:
         (out / f"{stem}_fits.txt").write_text(_report_table(report) + "\n")
 
 
+def _each_catalog(paths, work) -> int:
+    """``work(path)`` for every catalog in order; the worst exit code of them all.
+
+    A catalog that cannot be read or summarised is reported on stderr with
+    exit code 2, and the catalogs after it still run.
+    """
+    status = 0
+    for path in paths:
+        try:
+            status = max(status, work(path))
+        except (LindleyFitError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            status = 2
+    return status
+
+
 def cmd_fit(config: RunConfig) -> int:
-    any_failed = False
-    for path in config.inputs:
+    def fit(path):
         report = _fit_catalog(config, path)
         print(_report_table(report))
         print()
         _write_report(report, config)
-        if any("error" in f for f in report["fits"]):
-            any_failed = True
-    return 1 if any_failed else 0
+        return 1 if any("error" in f for f in report["fits"]) else 0
+
+    return _each_catalog(config.inputs, fit)
 
 
 def cmd_plotdata(config: RunConfig, family: Family) -> int:
     if not config.out_dir:
         raise ValueError("plotdata requires a nonempty --out directory")
-    results = [_plot_catalog(config, family, path) for path in config.inputs]
-    return 0 if all(results) else 1
+    return _each_catalog(config.inputs, lambda path: 0 if _plot_catalog(config, family, path) else 1)
 
 
 def _plot_catalog(config: RunConfig, family: Family, path: str) -> bool:

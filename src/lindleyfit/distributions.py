@@ -272,12 +272,16 @@ def _pdf_mixture(mix, x, *params):
 
 
 def _mixture_sum(reg_gamma, mix, x, *params):
-    """w1 R(s1, rate x) + w2 R(s2, rate x) for R = P (the cdf) or Q (the sf)."""
+    """w1 R(s1, rate x) + w2 R(s2, rate x) for R = P (the cdf) or Q (the sf).
+
+    The weights sum to 1 only to rounding (1 - 2^-53 for lindley1(0.04)), so
+    the sum is divided by w1 + w2, which lets it reach 1 exactly.
+    """
     w1, w2, s1, s2, rate = mix(*params)
     z = rate * x
     out = w1 * reg_gamma(s1, z) + w2 * reg_gamma(s2, z)
     # a signed density (tpld with b < 0) keeps its signed distribution functions
-    return np.clip(out, 0.0, 1.0) if w1 >= 0.0 and w2 >= 0.0 else out
+    return np.clip(out / (w1 + w2), 0.0, 1.0) if w1 >= 0.0 and w2 >= 0.0 else out
 
 
 _cdf_mixture = functools.partial(_mixture_sum, specfun.reg_gamma_p_arr)
@@ -321,12 +325,10 @@ def _sample_mixture(mix, rng, n, *params):
 # lindley1 at a power (pld) and truncated to a window (dtl)
 # --------------------------------------------------------------------------
 
-def _at_power(form, edge: float, x, b, c):
-    """``form`` of lindley1(b) at x**c: the pld cdf and sf, which keep ``edge``,
-    their value at x = 0, where x**c underflows to 0."""
+def _at_power(form, x, b, c):
+    """``form`` of lindley1(b) at x**c: the pld cdf and sf."""
     with np.errstate(over="ignore"):
-        t = x ** c
-    return np.where(t > 0.0, form(_mixture_lindley1, t, b), edge)
+        return form(_mixture_lindley1, x ** c, b)
 
 
 def _pdf_at_power(x, b, c):
@@ -453,7 +455,7 @@ def _cdf_lognormal(x, m, sigma):
 
 _CDF = {
     **_per_mixture(_cdf_mixture),
-    Family.PLD: functools.partial(_at_power, _cdf_mixture, 0.0),
+    Family.PLD: functools.partial(_at_power, _cdf_mixture),
     Family.NWL: _cdf_nwl,
     Family.DTL: _cdf_dtl,
     Family.LOGNORMAL: _cdf_lognormal,
@@ -478,7 +480,7 @@ def _sf_lognormal(x, m, sigma):
 
 _SF = {
     **_per_mixture(_sf_mixture),
-    Family.PLD: functools.partial(_at_power, _sf_mixture, 1.0),
+    Family.PLD: functools.partial(_at_power, _sf_mixture),
     Family.NWL: _sf_nwl,
     Family.DTL: _sf_dtl,
     Family.LOGNORMAL: _sf_lognormal,

@@ -1,28 +1,30 @@
 """Method-of-moments parameter recovery for every family.
 
 Closed forms are used where they exist (one-parameter, two-parameter and
-lognormal families); the power / new-weighted families solve the 2x2 system
-{mean = xbar, variance = s2} and the generalized / new-generalized families
-the 3x3 system that adds the third raw moment, both with damped Newton
-iterations started from a fixed deterministic set of points.  One batched
-engine runs every start at once as a lane of numpy arrays.
+lognormal families), and ``dtl`` solves its one mean equation by bracketed
+Newton.  The power / new-weighted families match {mean = xbar,
+variance = s2} and the generalized / new-generalized families add the third
+raw moment.  Each of those four systems reduces exactly to one unknown, with
+the other parameters in closed form, so each is solved by one vectorised
+scan of a 1-D defect followed by bisection (:func:`_scan_roots`).  Every
+candidate is judged by the family's own moment forms, relative to the
+targets.
 
 The three-parameter moment systems are genuinely multi-rooted: distinct
 positive parameter vectors can share their first three moments.  All roots
 found are therefore collected and the reported one is chosen by a fixed
 convention (smallest residual-feasible root by third parameter ``c``, then
-lexicographically), which matches the published fits.  See the solver
-docstrings.
+lexicographically), which matches the published fits.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import distributions as dist
 from .distributions import DistributionSpec, Family
@@ -34,8 +36,7 @@ from .errors import (
     NoSolutionError,
 )
 
-NEWTON_TOL = 1e-10          # max abs defect on the moment equations
-_GRID_AXIS = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
+NEWTON_TOL = 1e-10          # max defect on the moment equations, relative to each raw target
 
 
 @dataclass(frozen=True)
@@ -155,12 +156,8 @@ def estimate_lognormal(t: MomentTargets) -> SolveReport:
 
 
 # --------------------------------------------------------------------------
-# batched multistart damped Newton
+# one bracketed 1-D solve per moment system
 # --------------------------------------------------------------------------
-
-_MAX_ITER = 60
-_STEP_LENGTHS = 0.5 ** np.arange(30)   # the damped step lengths, tried longest first
-
 
 def _moment_map(family: Family):
     """The family's (mean, variance[, third raw moment]) at parameter vectors stacked as (..., k)."""
@@ -178,192 +175,101 @@ def _moment_map(family: Family):
     return moments
 
 
-def _solve_lanes(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Newton steps for a stack of systems; a singular lane gets a NaN step."""
-    try:
-        return np.linalg.solve(jac, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # a stacked solve raises if any one matrix is singular
-        out = np.full(rhs.shape, np.nan)
-        for i in range(len(jac)):
-            try:
-                out[i] = np.linalg.solve(jac[i], rhs[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
+_ONE_BRANCH = np.array([[1.0]])
+_BRANCHES = np.array([[1.0], [-1.0]])   # the two roots of a quadratic, as a column
+# [1e-11, 1 - 1e-11], geometric towards both ends; 1 - x is exact on the upper half
+_HALF = np.geomspace(1e-11, 0.5, 4000)
+_UNIT_GRID = np.unique(np.concatenate([_HALF, 1.0 - _HALF]))
+_PLD_S_GRID = np.geomspace(1e-11, 1e2, 4000)   # s = 1/c
 
 
-def _norm(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis; one that overflows reads inf, which no step can lower."""
-    with np.errstate(over="ignore"):
-        return np.sqrt((x * x).sum(axis=-1))
+def _bisect(inside, lo, hi):
+    """Halve every bracket [lo, hi] (in either order), keeping ``inside(lo)`` and not ``inside(hi)``.
 
-
-def _multistart(moments, targets: np.ndarray, starts, first_hit: bool = False):
-    """Damped Newton on positivity-constrained parameters from every start at once.
-
-    Each start is one lane of ``(n_starts, k)`` arrays and follows the same
-    rule on its own: a central finite-difference Jacobian with step
-    ``1e-7 * max(|p_j|, 1e-5)``, at most 60 iterations, a stop once every
-    target-scaled defect is below 1e-13, and a step of length 1, 1/2, ...,
-    2^-29 -- the longest one that keeps every parameter positive and lowers
-    the defect norm.  A lane whose start, defect, Jacobian or step is not
-    finite, or whose Jacobian is singular, ends with no result; a lane that
-    no step length improves ends where it is.
-
-    Returns ``(index, params, raw_residuals, iterations)`` for every lane
-    that ends with a result, in start order.  With ``first_hit``, the whole
-    solve ends in the first iteration where any lane ends within NEWTON_TOL,
-    and only that lane is returned (the lowest start index if several end
-    then); any converged lane will do when the moment map is injective.
+    ``inside`` maps an array of points, one per bracket, to booleans.  A
+    bracket stops once it is one ulp wide.  Returns the final ``(lo, hi)``.
     """
-    p_all = np.array(starts, dtype=float).reshape(-1, len(targets))
-    n, k = p_all.shape
-    scale = np.maximum(np.abs(targets), 1e-12)
-
-    def resid(params):
-        # an overflow or a domain error yields a non-finite defect, which ends the lane
-        with np.errstate(all="ignore"):
-            return (moments(params) - targets) / scale
-
-    r_all = np.full((n, k), np.nan)
-    ok = (p_all > 0).all(axis=1) & np.isfinite(p_all).all(axis=1)
-    if ok.any():
-        r_all[ok] = resid(p_all[ok])
-    # the state of the running lanes: start index, parameters, defect, defect norm
-    live = np.flatnonzero(np.isfinite(r_all).all(axis=1))
-    p, r = p_all[live], r_all[live]
-    norm = _norm(r)
-    ended = np.zeros(n, dtype=bool)
-    iters = np.zeros(n, dtype=int)
-    hit = n   # with first_hit, the lowest start index that has ended within NEWTON_TOL
-    diag = np.arange(k)
-
-    def end(mask, it):
-        nonlocal hit
-        lanes = live[mask]
-        p_all[lanes], r_all[lanes], ended[lanes], iters[lanes] = p[mask], r[mask], True, it
-        if first_hit:
-            hits = lanes[np.abs(r[mask] * scale).max(axis=1) <= NEWTON_TOL]
-            if hits.size:
-                hit = min(hit, hits[0])
-
-    for it in range(1, _MAX_ITER + 1):
-        keep = np.abs(r).max(axis=1) >= 1e-13
-        if not keep.all():
-            end(~keep, it)
-            live, p, r, norm = live[keep], p[keep], r[keep], norm[keep]
-        if live.size == 0 or hit < n:
-            break
-
-        # the 2k perturbed points of every lane in one evaluation
-        h = 1e-7 * np.maximum(np.abs(p), 1e-5)
-        up, down = p + h, np.maximum(p - h, 1e-300)
-        points = np.repeat(p[:, None, :], 2 * k, axis=1)
-        points[:, diag, diag] = up
-        points[:, k + diag, diag] = down
-        both = resid(points)
-        with np.errstate(all="ignore"):
-            jac = (both[:, :k] - both[:, k:]).transpose(0, 2, 1) / (up - down)[:, None, :]
-        step = _solve_lanes(jac, -r)
-        good = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(step).all(axis=1)
-        if not good.all():
-            live, p, r, norm, step = live[good], p[good], r[good], norm[good], step[good]
-
-        # every step length of every lane in one (lanes x 30) block
-        with np.errstate(over="ignore"):
-            cand = p[:, None, :] + _STEP_LENGTHS[:, None] * step[:, None, :]
-        positive = (cand > 0).all(axis=2)
-        if positive.all():
-            r_cand = resid(cand)
-        else:
-            r_cand = np.full(cand.shape, np.nan)
-            r_cand[positive] = resid(cand[positive])
-        norm_cand = _norm(r_cand)
-        better = np.isfinite(r_cand).all(axis=2) & (norm_cand < norm[:, None])
-        moved = better.any(axis=1)
-        if not moved.all():
-            end(~moved, it)
-            live, cand, r_cand, norm_cand, better = (
-                x[moved] for x in (live, cand, r_cand, norm_cand, better)
-            )
-        rows, pick = np.arange(live.size), better.argmax(axis=1)
-        p, r, norm = cand[rows, pick], r_cand[rows, pick], norm_cand[rows, pick]
-    else:
-        end(np.ones(live.size, dtype=bool), _MAX_ITER)
-    lanes = [hit] if hit < n else np.flatnonzero(ended)
-    return [(i, p_all[i], r_all[i] * scale, int(iters[i])) for i in lanes]
-
-
-# --------------------------------------------------------------------------
-# seed scans for the three-parameter systems
-# --------------------------------------------------------------------------
-
-_BRANCHES = np.array([[1.0], [-1.0]])   # the two roots of each quadratic, as a column
-
-
-def _scan_seeds(g, grid):
-    """Roots and near-roots of a 1-D defect on both branches of the quadratic.
-
-    ``g(x, branch)`` is the defect at points ``x`` on branch +1 or -1 (arrays
-    that broadcast), NaN where it is undefined.  Every sign change between
-    finite neighbours of ``grid`` is bisected 90 times, all brackets of both
-    branches at once; a bracket stops where ``g`` is undefined, or once it is
-    one ulp wide, where further halvings change nothing.  Then come the grid
-    points where |g| dips locally, at most 8 per branch, smallest first:
-    tangent roots (double roots of the reduced system, e.g. where the two
-    quadratic branches coincide) produce no sign change, only a dip, and are
-    handed to Newton as extra seeds.
-
-    Returns ``(x, branch)`` arrays: branch +1 first, then -1, each with its
-    bisected roots in grid order followed by its dips.
-    """
-    vals = g(grid, _BRANCHES)
-    finite = np.isfinite(vals)
-    row, at = np.nonzero(finite[:, :-1] & finite[:, 1:] & ((vals[:, :-1] > 0) != (vals[:, 1:] > 0)))
-    branch = _BRANCHES[row, 0]
-    lo, hi, g_lo = grid[at], grid[at + 1], vals[row, at]
-    live = np.ones(at.size, dtype=bool)
-    for _ in range(90):
+    for _ in range(100):
         mid = 0.5 * (lo + hi)
-        live &= (mid != lo) & (mid != hi)
+        live = (mid != lo) & (mid != hi)
         if not live.any():
             break
-        g_mid = g(mid, branch)
-        live &= np.isfinite(g_mid)
-        same = live & ((g_mid > 0) == (g_lo > 0))
-        lo = np.where(same, mid, lo)
-        g_lo = np.where(same, g_mid, g_lo)
-        hi = np.where(live & ~same, mid, hi)
-    roots = 0.5 * (lo + hi)
+        step = live & inside(mid)
+        lo, hi = np.where(step, mid, lo), np.where(live & ~step, mid, hi)
+    return lo, hi
+
+
+def _scan_roots(g, grid, branches=_ONE_BRANCH):
+    """Candidate roots of a 1-D defect ``g(x, branch)`` on every branch of a reduction.
+
+    ``g`` takes points and branches that broadcast and is NaN where it is
+    undefined.  Three kinds of bracket are bisected to one ulp, all at once:
+
+    * a sign change between finite neighbours of ``grid``;
+    * a domain edge, where g turns undefined between two grid points (the
+      quadratic's branches meet there, or a parameter reaches 0): the last
+      finite point is found first; a sign change between it and its grid
+      neighbour is a bracket, else the point itself is kept as a candidate;
+    * a dip, a grid point where |g| is a local minimum and both neighbours
+      share its sign (at most 8 per branch, smallest first): the extremum of
+      g over its two cells is found first; if g crosses 0 there, each side is
+      a bracket, else the extremum itself is kept as a tangent root.
+
+    Returns ``(x, branch)`` arrays of the candidates.
+    """
+    vals = np.broadcast_to(g(grid, branches), (len(branches), len(grid)))
+    finite, pos = np.isfinite(vals), vals > 0
+    rows = np.broadcast_to(branches, vals.shape)   # the branch of every grid value
+    j, i = np.nonzero(finite[:, :-1] & finite[:, 1:] & (pos[:, :-1] != pos[:, 1:]))
+    brackets = [(grid[i], grid[i + 1], rows[j, i])]
+
+    j, i = np.nonzero(finite[:, :-1] != finite[:, 1:])
+    inner, edge_br = np.where(finite[j, i], i, i + 1), rows[j, i]
+    edge, _ = _bisect(lambda x: np.isfinite(g(x, edge_br)), grid[inner], grid[2 * i + 1 - inner])
+    cross = (g(edge, edge_br) > 0) != pos[j, inner]
+    brackets.append((grid[inner][cross], edge[cross], edge_br[cross]))
 
     mags = np.where(finite, np.abs(vals), math.inf)
-    edge = np.full((len(_BRANCHES), 1), math.inf)
-    dip = finite & (mags <= np.hstack([edge, mags[:, :-1]])) & (mags <= np.hstack([mags[:, 1:], edge]))
-    xs, branches = [], []
-    for j, sign in enumerate(_BRANCHES[:, 0]):
-        dips = np.flatnonzero(dip[j])
-        dips = dips[np.argsort(mags[j, dips], kind="stable")[:8]]
-        xs += [roots[row == j], grid[dips]]
-        branches.append(np.full(np.count_nonzero(row == j) + dips.size, sign))
-    return np.concatenate(xs), np.concatenate(branches)
+    centre = mags[:, 1:-1]
+    dip = finite[:, :-2] & finite[:, 2:] & (centre <= mags[:, :-2]) & (centre <= mags[:, 2:])
+    dip &= (pos[:, :-2] == pos[:, 1:-1]) & (pos[:, 2:] == pos[:, 1:-1])
+    j, i = np.nonzero(dip)
+    order = np.lexsort((centre[j, i], j))   # by branch, then |g|
+    j, i = j[order], i[order]
+    first = np.arange(j.size) - np.searchsorted(j, j) < 8   # the 8 smallest of each branch
+    j, i = j[first], i[first] + 1
+    dip_br, sign, lo, hi = rows[j, i], np.where(pos[j, i], 1.0, -1.0), grid[i - 1], grid[i + 1]
+    h = 1e-7 * (hi - lo)
+    # sign * g still falls left of its minimum
+    peak, _ = _bisect(lambda x: sign * (g(x + h, dip_br) - g(x, dip_br)) < 0, lo, hi)
+    tangent = sign * g(peak, dip_br) > 0
+    crossed = (peak[~tangent], dip_br[~tangent])
+    brackets += [(lo[~tangent], *crossed), (hi[~tangent], *crossed)]
+
+    lo, hi, br = (np.concatenate(part) for part in zip(*brackets))
+    lo_pos = g(lo, br) > 0
+
+    def same_sign(x):
+        gx = g(x, br)
+        return np.isfinite(gx) & ((gx > 0) == lo_pos)
+
+    x = np.concatenate([0.5 * sum(_bisect(same_sign, lo, hi)), edge[~cross], peak[tangent]])
+    return x, np.concatenate([br, edge_br[~cross], dip_br[tangent]])
 
 
-def _gld_seed_scan(m1: float, m2: float, m3: float) -> np.ndarray:
+def _gld_candidates(t: MomentTargets) -> np.ndarray:
     """Candidate generalized-family roots from a scale-free 1-D reduction.
 
     With w = c/(c+b), the raw moments satisfy  b*m1 = a + w,
     b^2*m2 = (a+1)(a+2w)  and  b^3*m3 = (a+1)(a+2)(a+3w); eliminating b
-    leaves a quadratic for a at each w and a single ratio equation in w,
-    which a dense scan plus bisection solves for every branch.
+    leaves a quadratic for a at each w and a single ratio equation in w.
     """
+    m1, m2 = t.xbar, t.s2 + t.xbar * t.xbar
     # in units of 2^e ~ m1 no product of moments under- or overflows; every ratio is bit-identical
     e = math.frexp(m1)[1]
-    s1, s2, s3 = (math.ldexp(m, -k * e) for k, m in ((1, m1), (2, m2), (3, m3)))
+    s1, s2, s3 = (math.ldexp(m, -k * e) for k, m in ((1, m1), (2, m2), (3, t.xbar3)))
     r2 = s2 / (s1 * s1)
     r3 = s3 / (s1 * s2)
-    half = np.geomspace(1e-11, 0.5, 4000)
-    ws = np.unique(np.concatenate([half, 1.0 - half]))
     aa = 1.0 - r2
     if abs(aa) < 1e-300:
         return np.empty((0, 3))
@@ -379,165 +285,201 @@ def _gld_seed_scan(m1: float, m2: float, m3: float) -> np.ndarray:
         a = a_of_w(w, branch)
         return (a + 2.0) * (a + 3.0 * w) / ((a + w) * (a + 2.0 * w)) - r3
 
-    # overflow and negative discriminants become NaN defects, which the scan skips
-    with np.errstate(all="ignore"):
-        w, branch = _scan_seeds(g, ws)
-        a = a_of_w(w, branch)
-        b = (a + w) / m1
-        c = b * w / (1.0 - w)
-        keep = (b > 0) & (c > 0) & np.isfinite(c)
-    return np.column_stack([a, b, c])[keep]
+    w, branch = _scan_roots(g, _UNIT_GRID, _BRANCHES)
+    a = a_of_w(w, branch)
+    b = (a + w) / m1
+    return np.column_stack([a, b, b * w / (1.0 - w)])
 
 
-def _ngld_seed_scan(m1: float, m2: float, m3: float) -> np.ndarray:
-    """Candidate new-generalized-family roots from a 1-D scan in c.
+def _ngld_candidates(t: MomentTargets) -> np.ndarray:
+    """Candidate new-generalized-family roots from a 1-D scan in d = a - c m1.
 
-    The moment equations give  b = c[(1+c) m1 - a]  and a quadratic for a at
-    each c; the remaining third-moment defect is scanned over a log grid.
+    The mean gives b = c (m1 - d) and the variance c = (m1 + d^2)/s2, so every
+    d < m1 fixes the whole vector.  In c these are two branches that meet at
+    the fold c = m1/s2 (d = 0), and the d > 0 one lives only on
+    c < (m1 + m1^2)/s2, which can be narrower than any c grid cell; in d they
+    are one.  The third moment, c a(a+1)(a+2) + b(b+1)(b+2) = (1+c) c^3 m3, is
+    the 1-D defect, written in u = 1/c, a/c and b/c so that no product of
+    moments overflows.  The grid in x = d/m1 is geometric towards 0 and 1 and
+    reaches c = 1e11 below 0.
     """
-    cs = np.geomspace(1e-6, 1e6, 12000)
+    m1, s2, m3 = t.xbar, t.s2, t.xbar3
+    top = min(math.sqrt(max(1e11 * s2 / m1 - 1.0, 0.0) / m1), 1e300)
+    grid = np.concatenate([-np.geomspace(top, 1e-11, 4000) if top > 1e-11 else [], _UNIT_GRID])
 
-    def a_b_of_c(c, branch):
-        tt = (1.0 + c) * m1
-        aa = 1.0 + c
-        bb = -2.0 * c * tt
-        cc = c * tt * tt + tt - (1.0 + c) * c * m2
-        disc = bb * bb - 4.0 * aa * cc
-        a = (-bb + branch * np.sqrt(np.where(disc < 0, np.nan, disc))) / (2.0 * aa)
-        a = np.where(a > 0, a, np.nan)
-        b = c * (tt - a)
-        b = np.where(b > 0, b, np.nan)
-        return np.where(np.isnan(b), np.nan, a), b
+    def ratios(x):
+        u = s2 / (m1 * (1.0 + m1 * x * x))
+        return u, m1 * (1.0 + x * u), m1 * (1.0 - x)   # 1/c, a/c, b/c
 
-    def g(c, branch):
-        a, b = a_b_of_c(c, branch)
-        return c * a * (a + 1.0) * (a + 2.0) + b * (b + 1.0) * (b + 2.0) - (1.0 + c) * c**3 * m3
+    def g(x, _branch):
+        u, alpha, beta = ratios(x)
+        third = alpha * (alpha + u) * (alpha + 2.0 * u) + u * beta * (beta + u) * (beta + 2.0 * u)
+        return np.where((alpha > 0) & (beta > 0), third / ((1.0 + u) * m3) - 1.0, np.nan)
 
-    # overflow and negative discriminants become NaN defects, which the scan skips
-    with np.errstate(all="ignore"):
-        c, branch = _scan_seeds(g, cs)
-        a, b = a_b_of_c(c, branch)
-    return np.column_stack([a, b, c])[~np.isnan(b)]
+    u, alpha, beta = ratios(_scan_roots(g, grid)[0])
+    return np.column_stack([alpha / u, beta / u, 1.0 / u])
 
 
-def _collect_roots(results):
+def _nwl_candidates(t: MomentTargets) -> np.ndarray:
+    """Candidate new-weighted roots from a 1-D scan in v = 1/(1+b).
+
+    With G_j = 1 + v + ... + v^j the raw moments are
+    m_r = r! (c G_r + (r+1) G_{r+1}) / (c^r (c + G_1)).  The mean fixes c as
+    the positive root of m1 c^2 + (m1 - 1) G_1 c - 2 G_2 = 0, written without
+    cancellation on either side of m1 = 1, and m2(c, v)/m2 - 1 is the 1-D
+    defect.
+    """
+    m1 = t.xbar
+    r2 = 1.0 + t.s2 / m1 / m1   # m2 / m1^2
+
+    def c_of(v):
+        k = (m1 - 1.0) * (1.0 + v)
+        root = np.hypot(k, np.sqrt(8.0 * m1 * (1.0 + v + v * v)))
+        return (root - k) / (2.0 * m1) if m1 < 1.0 else 4.0 * (1.0 + v + v * v) / (k + root)
+
+    def g(v, _branch):
+        c = c_of(v)
+        g2 = 1.0 + v * (1.0 + v)
+        return 2.0 * (c * g2 + 3.0 * (1.0 + v * g2)) / ((c + 1.0 + v) * (c * m1) ** 2 * r2) - 1.0
+
+    v, _ = _scan_roots(g, _UNIT_GRID)
+    return np.column_stack([(1.0 - v) / v, c_of(v)])
+
+
+def _pld_candidates(t: MomentTargets) -> np.ndarray:
+    """Candidate power-family roots from a 1-D scan in s = 1/c.
+
+    The raw moments are m_r = b^(-rs) Gamma(1 + rs) (b + 1 + rs)/(b + 1).  At
+    each s the mean fixes L = ln b: -s L + log1p(s/(b+1)) = ln m1 - lnGamma(1+s)
+    falls strictly in L, by between s and 1.25 s per unit, and its root lies
+    within log1p(s)/s <= 1 above L0 = (lnGamma(1+s) - ln m1)/s, so four Newton
+    steps from L0 reach it.  The second moment's log defect
+    -2s L + lnGamma(1+2s) + log1p(2s/(b+1)) - ln m2 is the 1-D defect.
+    """
+    log_m1 = math.log(t.xbar)
+    log_m2 = 2.0 * log_m1 + math.log1p(t.s2 / t.xbar / t.xbar)
+
+    def log_b(s):
+        lg = special.gammaln(1.0 + s)
+        L = (lg - log_m1) / s
+        for _ in range(4):
+            b = np.exp(L)
+            slope = s + s * b / ((b + 1.0) * (b + 1.0 + s))
+            L = L + (lg - log_m1 - s * L + np.log1p(s / (b + 1.0))) / slope
+        return L
+
+    def g(s, _branch):
+        L = log_b(s)
+        b = np.exp(L)
+        defect = special.gammaln(1.0 + 2.0 * s) - 2.0 * s * L + np.log1p(2.0 * s / (b + 1.0)) - log_m2
+        return np.where((b > 0) & (b < math.inf), defect, np.nan)
+
+    s, _ = _scan_roots(g, _PLD_S_GRID)
+    return np.column_stack([np.exp(log_b(s)), 1.0 / s])
+
+
+_CANDIDATES = {
+    Family.PLD: _pld_candidates,
+    Family.NWL: _nwl_candidates,
+    Family.GLD: _gld_candidates,
+    Family.NGLD: _ngld_candidates,
+}
+
+
+def _collect_roots(params, raw, rel):
+    """Distinct candidates within NEWTON_TOL as (params, raw defects, relative defect), and the best defect."""
     roots = []
-    best_residual = math.inf
-    for _, p, raw, iters in results:
-        res = float(np.max(np.abs(raw)))
-        best_residual = min(best_residual, res)
-        if res <= NEWTON_TOL and np.all(p > 0):
-            # near a fold the same root arrives from several seeds with
-            # different polish quality; keep the sharpest representative
-            for i, q in enumerate(roots):
-                if np.allclose(p, q[0], rtol=1e-3, atol=1e-12):
-                    if res < q[3]:
-                        roots[i] = (p, raw, iters, res)
-                    break
-            else:
-                roots.append((p, raw, iters, res))
-    return roots, best_residual
+    for p, r, res in zip(params, raw, rel):
+        if not res <= NEWTON_TOL:
+            continue
+        # one root can arrive twice (both sides of a dip that touches 0, an
+        # edge shared by two branches); keep the sharpest representative
+        for i, q in enumerate(roots):
+            if np.allclose(p, q[0], rtol=1e-6, atol=0.0):
+                if res < q[-1]:
+                    roots[i] = (p, r, res)
+                break
+        else:
+            roots.append((p, r, res))
+    return roots, float(np.min(rel[np.isfinite(rel)], initial=math.inf))
 
 
 def _select_root(roots):
     """Smallest-residual class first, then smallest c, then lexicographic.
 
-    Near a fold of the moment map the line search can stall on near-solutions
-    whose defect sits just under the tolerance while true roots polish to
-    ~1e-15; keeping only the best residual class (within a factor of 1e3)
-    separates the two without ranking exact roots by conditioning noise.
+    Exact roots of a multi-rooted system can differ in their last-bit defect;
+    keeping only the best residual class (within a factor of 1e3, or below
+    1e-14 of the targets) separates exact roots from candidates that merely
+    pass the tolerance, such as noise roots of a near-constant sample,
+    without ranking exact roots by rounding.
     """
-    res_min = min(r[3] for r in roots)
-    keep = [r for r in roots if r[3] <= max(res_min * 1e3, 1e-14)]
+    res_min = min(r[-1] for r in roots)
+    keep = [r for r in roots if r[-1] <= max(res_min * 1e3, 1e-14)]
     return min(keep, key=lambda r: (r[0][-1],) + tuple(r[0][:-1]))
+
+
+def _moment_roots(family: Family, t: MomentTargets):
+    """Distinct roots of the family's moment system, and the smallest relative defect of any candidate.
+
+    Every candidate of the family's 1-D reduction is evaluated with the
+    family's own moment forms.  Its defects on the mean, the variance and the
+    third raw moment are taken relative to (xbar, s2 + xbar^2, xbar3): the
+    reductions match raw moments, so the variance is judged on the scale of
+    the second raw moment.
+    """
+    # overflow, domain errors and negative discriminants become NaN defects, which the scan skips
+    with np.errstate(all="ignore"):
+        params = _CANDIDATES[family](t)
+        params = params[np.isfinite(params).all(axis=1) & (params > 0).all(axis=1)]
+        k = params.shape[1]
+        raw = _moment_map(family)(params) - np.array([t.xbar, t.s2, t.xbar3])[:k]
+        rel = np.abs(raw / np.array([t.xbar, t.s2 + t.xbar * t.xbar, t.xbar3])[:k]).max(axis=1)
+    return _collect_roots(params, raw, rel)
 
 
 def _report_root(family: Family, roots, best_residual: float) -> SolveReport:
     """The report of the root :func:`_select_root` picks; EstimationError when there is none."""
-    if not roots and best_residual == math.inf:
+    if best_residual == math.inf:
         raise EstimationError(
-            f"{family.value} moment solve failed: no start ended with a finite defect", best_residual=None
+            f"{family.value} moment solve failed: the seed scan found no candidate root with a finite defect",
+            best_residual=None,
         )
     if not roots:
         raise EstimationError(
-            f"{family.value} moment solve failed from every start (best residual {best_residual:.3g})",
+            f"{family.value} moment solve failed: no candidate root is within {NEWTON_TOL:g} "
+            f"(best relative defect {best_residual:.3g})",
             best_residual=best_residual,
         )
-    p, raw, iters, _ = _select_root(roots)
-    return SolveReport(
-        spec=DistributionSpec(family, tuple(p)),
-        residuals=raw,
-        iterations=iters,
-        converged=True,
-    )
-
-
-def _grid(k: int) -> np.ndarray:
-    return np.array(list(itertools.product(_GRID_AXIS, repeat=k)))
+    p, raw, _ = _select_root(roots)
+    return SolveReport(spec=DistributionSpec(family, tuple(p)), residuals=raw, iterations=0, converged=True)
 
 
 def estimate_two_param(family, t: MomentTargets) -> SolveReport:
     """Solve {mean = xbar, variance = s2} for the power or new-weighted family.
 
-    Damped Newton with central finite-difference Jacobians, multistarted over
-    the fixed grid {0.1, 0.5, 1, 2, 5, 10}^2.  The solve ends in the first
-    iteration where any start converges, and that start is returned (the
-    first in grid order if several converge then).  Both families' moment
-    maps were found injective, so every converged start gives the same root.
+    Each system reduces exactly to one unknown (:func:`_pld_candidates`,
+    :func:`_nwl_candidates`), solved by a 1-D scan with bisection.  Both
+    families' moment maps were found injective, so there is one root.
     """
     family = Family(family)
     if family not in (Family.PLD, Family.NWL):
         raise FamilyError(f"estimate_two_param handles pld and nwl, got {family.value}")
-    results = _multistart(_moment_map(family), np.array([t.xbar, t.s2]), _grid(2), first_hit=True)
-    return _report_root(family, *_collect_roots(results))
-
-
-def _three_param_roots(family: Family, t: MomentTargets):
-    """Distinct converged roots of the three-moment system, and the best residual seen.
-
-    Starts come from the family's seed scan.  The ``gld`` scan is scale-free
-    and covers every w = c/(c+b) in [1e-11, 1 - 1e-11] on both branches, so
-    its starts are the only ones; a scan that yields none raises
-    EstimationError.  The ``ngld`` scan covers c in [1e-6, 1e6] only, and
-    narrow samples have their root beyond it, so the coarse grid is the
-    fallback when no ``ngld`` scan seed converges.
-    """
-    moments = _moment_map(family)
-    targets = np.array([t.xbar, t.s2, t.xbar3])
-    m1 = t.xbar
-    m2 = t.s2 + t.xbar * t.xbar
-    m3 = t.xbar3
-    if family is Family.GLD:
-        scan = _gld_seed_scan(m1, m2, m3)
-        if not len(scan):
-            raise EstimationError(
-                "gld moment solve failed: the seed scan found no candidate root", best_residual=None
-            )
-        return _collect_roots(_multistart(moments, targets, scan))
-    roots, best_residual = _collect_roots(_multistart(moments, targets, _ngld_seed_scan(m1, m2, m3)))
-    if not roots:
-        # the scan's c range misses the root: fall back to the coarse grid
-        roots, grid_best = _collect_roots(_multistart(moments, targets, _grid(3)))
-        best_residual = min(best_residual, grid_best)
-    return roots, best_residual
+    return _report_root(family, *_moment_roots(family, t))
 
 
 def estimate_three_param(family, t: MomentTargets) -> SolveReport:
     """Solve {mean, variance, third raw moment} for the three-parameter families.
 
-    Starts come from a dense 1-D root scan on every solution branch, refined
-    by damped Newton.  For ``ngld``, whose scan covers c in [1e-6, 1e6] only,
-    the coarse grid {0.1, 0.5, 1, 2, 5, 10}^3 is the fallback when no scan
-    seed converges; the scale-free ``gld`` scan has no fallback.
-    These systems admit several exact roots for many targets; among the
-    best-residual class of converged roots the one with the smallest ``c``
-    (then lexicographically smallest (a, b)) is returned, which reproduces
-    the published fits.
+    Each system reduces exactly to one unknown (:func:`_gld_candidates`,
+    :func:`_ngld_candidates`), solved by a 1-D scan with bisection.  These systems admit several exact roots for many
+    targets; among the best-residual class of roots the one with the
+    smallest ``c`` (then lexicographically smallest (a, b)) is returned,
+    which reproduces the published fits.
     """
     family = Family(family)
     if family not in (Family.GLD, Family.NGLD):
         raise FamilyError(f"estimate_three_param handles gld and ngld, got {family.value}")
-    return _report_root(family, *_three_param_roots(family, t))
+    return _report_root(family, *_moment_roots(family, t))
 
 
 def _dtl_flat_mean(x_l: float, x_u: float) -> float:

@@ -509,105 +509,3 @@ def is_canonical_root(params, roots, rtol=1e-5):
         return False
     c_gen = params[-1]
     return all(r[-1] >= c_gen * (1.0 - 1e-6) for r in roots)
-
-
-# -- scalar seed scans ------------------------------------------------------
-# The estimator's seed scans as plain Python loops, one defect evaluation per
-# grid point and bracket.  The shipped scans evaluate the same arithmetic over
-# whole arrays; these loops are the reference they are compared against.
-
-def _scalar_scan(g, grid):
-    vals = np.array([v if (v := g(x)) is not None else math.nan for x in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if not (math.isfinite(v0) and math.isfinite(v1)) or (v0 > 0) == (v1 > 0):
-            continue
-        lo, hi, glo = grid[i], grid[i + 1], v0
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            gm = g(mid)
-            if gm is None or not math.isfinite(gm):
-                break
-            if (gm > 0) == (glo > 0):
-                lo, glo = mid, gm
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-    mags = np.where(np.isfinite(vals), np.abs(vals), math.inf)
-    hits = []
-    for i in range(len(grid)):
-        left = mags[i - 1] if i > 0 else math.inf
-        right = mags[i + 1] if i < len(grid) - 1 else math.inf
-        if math.isfinite(mags[i]) and mags[i] <= left and mags[i] <= right:
-            hits.append((mags[i], grid[i]))
-    hits.sort(key=lambda t: t[0])
-    return roots + [x for _, x in hits[:8]]
-
-
-def scalar_gld_seed_scan(m1, m2, m3):
-    r2 = m2 / (m1 * m1)
-    r3 = m3 / (m1 * m2)
-    half = np.geomspace(1e-11, 0.5, 4000)
-    ws = np.unique(np.concatenate([half, 1.0 - half]))
-
-    def a_of_w(w, branch):
-        aa = 1.0 - r2
-        bb = 1.0 + 2.0 * w - 2.0 * r2 * w
-        cc = 2.0 * w - r2 * w * w
-        disc = bb * bb - 4.0 * aa * cc
-        if disc < 0 or abs(aa) < 1e-300:
-            return None
-        a = (-bb + branch * math.sqrt(disc)) / (2.0 * aa)
-        return a if a > 0 else None
-
-    seeds = []
-    for branch in (1.0, -1.0):
-        def g(w):
-            a = a_of_w(w, branch)
-            if a is None:
-                return None
-            return (a + 2.0) * (a + 3.0 * w) / ((a + w) * (a + 2.0 * w)) - r3
-
-        for w in _scalar_scan(g, ws):
-            a = a_of_w(w, branch)
-            if a is None:
-                continue
-            b = (a + w) / m1
-            c = b * w / (1.0 - w)
-            if b > 0 and c > 0 and math.isfinite(c):
-                seeds.append((a, b, c))
-    return seeds
-
-
-def scalar_ngld_seed_scan(m1, m2, m3):
-    cs = np.geomspace(1e-6, 1e6, 12000)
-
-    def a_of_c(c, branch):
-        tt = (1.0 + c) * m1
-        aa = 1.0 + c
-        bb = -2.0 * c * tt
-        cc = c * tt * tt + tt - (1.0 + c) * c * m2
-        disc = bb * bb - 4.0 * aa * cc
-        if disc < 0:
-            return None
-        a = (-bb + branch * math.sqrt(disc)) / (2.0 * aa)
-        if a <= 0:
-            return None
-        b = c * (tt - a)
-        return (a, b) if b > 0 else None
-
-    seeds = []
-    for branch in (1.0, -1.0):
-        def g(c):
-            ab = a_of_c(c, branch)
-            if ab is None:
-                return None
-            a, b = ab
-            return c * a * (a + 1.0) * (a + 2.0) + b * (b + 1.0) * (b + 2.0) - (1.0 + c) * c**3 * m3
-
-        for c in _scalar_scan(g, cs):
-            ab = a_of_c(c, branch)
-            if ab is not None:
-                seeds.append((ab[0], ab[1], c))
-    return seeds

@@ -154,6 +154,18 @@ class TestFit:
         assert code == 2
         assert err == f"error: scaled: the third raw moment of the masses {how} in double precision\n"
 
+    def test_unreadable_catalog_does_not_stop_the_others(self, synth_csv, tmp_path, capsys):
+        # the first catalog's error ended the run before the second was read
+        big = tmp_path / "zbig.csv"
+        big.write_text("\n".join(repr(float(v)) for v in np.random.default_rng(0).gamma(2.0, size=200) * 1e150))
+        code, stdout, err = run(capsys, "fit", "--input", str(big), "--input", str(tmp_path / "nope.csv"),
+                                "--input", str(synth_csv), "--families", "lindley1")
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("error: zbig: the third raw moment"), err
+        assert lines[1].startswith("error:") and "nope.csv" in lines[1], err
+        assert stdout.startswith("catalog synth:") and "best fit: lindley1" in stdout
+
     def test_bins_must_exceed_parameter_count(self, synth_csv, capsys):
         code, _, err = run(capsys, "fit", "--input", str(synth_csv), "--bins", "3")
         assert code == 2
@@ -224,6 +236,14 @@ class TestPlotdata:
         assert err.startswith("wide: fit failed for tpld"), err
         assert all((out / f"synth_tpld_{kind}.csv").exists() for kind in kinds)
         assert not any(out.glob("wide_*"))
+
+    def test_unreadable_catalog_does_not_stop_the_others(self, synth_csv, tmp_path, capsys):
+        out = tmp_path / "plot"
+        code, _, err = run(capsys, "plotdata", "--input", str(tmp_path / "nope.csv"), "--input", str(synth_csv),
+                           "--family", "lindley1", "--out", str(out))
+        assert code == 2
+        assert err.startswith("error:") and "nope.csv" in err, err
+        assert (out / "synth_lindley1_pdf.csv").exists()
 
     def test_requires_out(self, synth_csv, capsys):
         code, _, err = run(capsys, "plotdata", "--input", str(synth_csv),

@@ -218,6 +218,15 @@ class TestSupportEdges:
         assert lf.cdf(spec, 1e-200) == 0.0
 
 
+    @pytest.mark.parametrize(
+        "spec", [lf.lindley1(0.04), lf.tpld(0.5, 0.04), lf.gld(0.5, 0.04, 0.04), lf.ngld(2.0, 3.0, 0.04)], ids=str
+    )
+    def test_mixture_limits_are_exact_inside_the_support(self, spec):
+        # lindley1(0.04)'s weights sum to 1 - 2^-53, and the cdf and sf stopped one ulp short of 1
+        assert lf.cdf(spec, 1e300) == 1.0
+        assert lf.sf(spec, 1e-300) == 1.0
+
+
 class TestTextbookFormCrossChecks:
     """The shipped gamma-composition CDFs against the one-expression forms."""
 

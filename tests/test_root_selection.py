@@ -182,9 +182,9 @@ def _rounding_tie(e, params):
 
 
 def root_set(family, t):
-    """[a, b, c, residual] of every distinct root the solver collects."""
-    roots, _ = est._three_param_roots(family, t)
-    return [[float(x) for x in q[0]] + [float(q[3])] for q in roots]
+    """[a, b, c, relative residual] of every distinct root the solver collects."""
+    roots, _ = est._moment_roots(family, t)
+    return [[float(x) for x in q[0]] + [float(q[-1])] for q in roots]
 
 
 def _load():
