@@ -87,21 +87,22 @@ def _parse_families(text: str) -> tuple[Family, ...]:
     return tuple(out)
 
 
-def _fit_one_family(family: Family, targets, masses, n_bins):
-    report = estimation.estimate(family, targets)
-    fit = gof.full_report(masses, report.spec, n_bins)
-    return report, fit
+def _load_targets(config: RunConfig, path: str):
+    """The catalog at ``path`` (column by index or header name), its summary and its moment targets."""
+    column = int(config.column) if config.column.lstrip("-").isdigit() else config.column
+    cat = load_csv(path, column=column)
+    summ = summarize(cat)
+    return cat, summ, estimation.MomentTargets.from_summary(summ)
 
 
 def _fit_catalog(config: RunConfig, path: str) -> dict:
-    cat = load_csv(path, column=_column_arg(config.column))
-    summ = summarize(cat)
-    targets = estimation.MomentTargets.from_summary(summ)
+    cat, summ, targets = _load_targets(config, path)
     fits = []
     for family in config.families:
         entry: dict = {"family": family.value}
         try:
-            solve, fit = _fit_one_family(family, targets, cat.masses, config.n_bins)
+            solve = estimation.estimate(family, targets)
+            fit = gof.full_report(cat.masses, solve.spec, config.n_bins)
             entry.update(
                 params=solve.spec.param_dict(),
                 converged=solve.converged,
@@ -132,10 +133,6 @@ def _fit_catalog(config: RunConfig, path: str) -> dict:
         "fits": fits,
         "best": best,
     }
-
-
-def _column_arg(column: str):
-    return int(column) if column.lstrip("-").isdigit() else column
 
 
 def _fmt_params(params: dict) -> str:
@@ -250,9 +247,7 @@ def cmd_plotdata(config: RunConfig, family: Family) -> int:
 
 def _plot_catalog(config: RunConfig, family: Family, path: str) -> bool:
     """Write one catalog's four plot CSVs; False when the family does not fit it."""
-    cat = load_csv(path, column=_column_arg(config.column))
-    summ = summarize(cat)
-    targets = estimation.MomentTargets.from_summary(summ)
+    cat, summ, targets = _load_targets(config, path)
     try:
         solve = estimation.estimate(family, targets)
     except LindleyFitError as exc:

@@ -342,37 +342,42 @@ def _pdf_at_power(x, b, c):
     return np.where(dens == 0.0, 0.0, out)
 
 
-# S(z) / z^2 = sum_k z^k / (k + 2)! with S(z) = e^z - 1 - z, highest power first
+# R_2(z) = (e^z - 1 - z) / z^2 = sum_k z^k / (k + 2)!, highest power first
 _S_OVER_Z2 = tuple(1.0 / math.factorial(k + 2) for k in range(22, -1, -1))
 
 
-def _s_over_z2(z):
-    """S(z) / z^2 by its series, all terms positive: to the last bit for 0 <= z <= 2."""
-    r = _S_OVER_Z2[0]
+def _series_r(z, m):
+    """[R_2(z), ..., R_{m+1}(z)], R_j(z) = sum_k z^k / (j + k)!: the last m partial sums of Horner for R_2.
+
+    Every term is positive, so for 0 <= z <= 2 and m <= 5 they are to the last bit.
+    """
+    r = [_S_OVER_Z2[0]]
     for a in _S_OVER_Z2[1:]:
-        r = r * z + a
+        r = [r[0] * z + a, *r[:m - 1]]   # newest first
     return r
 
 
-def _scaled_p12(z):
-    """(P(1, z) / z, P(2, z) / z^2) for z >= 0, the regularized lower incomplete gammas.
+def _scaled_p(z, n):
+    """[P(j, z) / z^j for j = 1..n] for z >= 0 and 2 <= n <= 6, P the regularized lower incomplete gamma.
 
-    P(1, z) = e^{-z} (z + S(z)) and P(2, z) = e^{-z} S(z): for z <= 2 the
-    ratios come from the series of S(z) / z^2, so neither underflows nor is
-    0/0 as z -> 0; above it they are -expm1(-z) / z and (P(1, z) / z - e^{-z}) / z,
-    which neither overflow nor cancel badly at large z.
+    P(j, z) / z^j = e^{-z} R_j(z): for z <= 2 the R_j come from their series
+    (R_1 = 1 + z R_2), so none underflows nor is 0/0 as z -> 0; above it
+    P(j+1, z) / z^(j+1) = (P(j, z) / z^j - e^{-z} / j!) / z from -expm1(-z) / z,
+    which loses about log2(P(1, z) / P(n, z)) bits just above z = 2.
     """
     small = z <= 2.0
     zs, zl = np.minimum(z, 2.0), np.maximum(z, 2.0)   # keep each form inside its own range
-    r = _s_over_z2(zs)
+    r = _series_r(zs, n - 1)
     ez = np.exp(-z)
-    p1 = np.where(small, ez * (1.0 + zs * r), -np.expm1(-z) / zl)
-    return p1, np.where(small, ez * r, (p1 - ez) / zl)
+    p = [-np.expm1(-z) / zl]
+    for j in range(1, n):
+        p.append((p[-1] - ez / math.factorial(j)) / zl)
+    return [np.where(small, ez * s, q) for s, q in zip([1.0 + zs * r[0], *r], p)]
 
 
-# The dtl mass past c (x - lo) = 1e150 is below the last bit of the mass before
-# it, so windows are cut there: c w stays finite and P(2, c w) / (c w)^2 normal.
-_DTL_ZW_MAX = 1e150
+# The dtl mass past c (x - lo) = 1e50 is below the last bit of the mass before
+# it, so windows are cut there: c w stays finite and P(6, c w) / (c w)^6 normal.
+_DTL_ZW_MAX = 1e50
 
 
 def _dtl_mass(c, lo, hi):
@@ -386,8 +391,21 @@ def _dtl_mass(c, lo, hi):
     M(x_l, x) / M(x_l, x_u) and its sf e^{-c (x - x_l)} M(x, x_u) / M(x_l, x_u).
     """
     w = np.minimum(hi - lo, _DTL_ZW_MAX / c)
-    p1, p2 = _scaled_p12(c * w)
+    p1, p2 = _scaled_p(c * w, 2)
     return w * (1.0 + lo) * p1, w * w * p2
+
+
+def _dtl_moments(c, x_l, x_u, k):
+    """(w, [E[T^j] for j = 0..k]) for T = (X - x_l) / w on the window w = x_u - x_l, cut as in _dtl_mass.
+
+    In t the density is (a + w t) e^{-z t} on [0, 1] with a = 1 + x_l and z = c w, and
+    int_0^1 t^m e^{-z t} dt = m! P(m+1, z) / z^(m+1): positive terms only, and no power of 1/c.
+    """
+    w = min(x_u - x_l, _DTL_ZW_MAX / c)
+    a = 1.0 + x_l
+    p = [float(v) for v in _scaled_p(c * w, k + 2)]
+    norm = a * p[0] + w * p[1]
+    return w, [math.factorial(j) * (a * p[j] + w * p[j + 1] * (j + 1)) / norm for j in range(k + 1)]
 
 
 def _nwl_masses(b, c):
@@ -538,22 +556,6 @@ def hazard(spec: DistributionSpec, x):
 # moments
 # --------------------------------------------------------------------------
 
-def _dtl_shifted_moments(c: float, x_l: float, x_u: float, k: int) -> list[float]:
-    """E[Z^j] for j = 0..k, where Z = c (X - x_l).
-
-    Past x_l the density (1 + x) e^{-cx} is (c (1 + x_l) + z) e^{-z} in z, an
-    Exp(1) / Gamma(2) mixture in the ratio c (1 + x_l) : 1, here truncated to
-    [0, zw] with zw = c (x_u - x_l).  So E[Z^j] is proportional to
-    A j! P(j+1, zw) + (j+1)! P(j+2, zw) with A = c (1 + x_l), a sum of
-    positive terms: no difference of two incomplete gammas is taken.
-    """
-    zw = c * (x_u - x_l)
-    a = c * (1.0 + x_l)
-    p = special.gammainc(np.arange(1.0, k + 3.0), zw).tolist()
-    terms = [math.factorial(j) * (a * p[j] + (j + 1) * p[j + 1]) for j in range(k + 1)]
-    return [t / terms[0] for t in terms]
-
-
 # The power and new-weighted raw moments raise their parameters with
 # np.power, which overflows to inf where Python's ** raises OverflowError, so
 # an overflowing variance does not take the finite mean down with it.
@@ -575,9 +577,11 @@ def _raw_moment_nwl(r, b, c):
 
 
 def _raw_moment_dtl(r, c, x_l, x_u):
-    # E[(x_l + Z/c)^r] by the binomial expansion, every term >= 0
-    ez = _dtl_shifted_moments(c, x_l, x_u, r)
-    return sum(math.comb(r, j) * x_l ** (r - j) * ez[j] * c ** -j for j in range(r + 1))
+    # E[(x_l + w T)^r] by the binomial expansion, every term >= 0
+    if r > 4:
+        raise DomainError(f"dtl raw moments are computed up to order 4, got r={r}")
+    w, e = _dtl_moments(c, x_l, x_u, r)
+    return sum(math.comb(r, j) * x_l ** (r - j) * w ** j * e[j] for j in range(r + 1))
 
 
 def _raw_moment_lognormal(r, m, sigma):
@@ -607,7 +611,7 @@ def _finite_moment(what: str, spec: DistributionSpec, form) -> float:
 
 
 def raw_moment(spec: DistributionSpec, r: int) -> float:
-    """r-th moment about the origin, r >= 1."""
+    """r-th moment about the origin, r >= 1 (at most 4 for ``dtl``)."""
     if not isinstance(r, (int, np.integer)) or r < 1:
         raise DomainError(f"raw_moment requires a positive integer order, got r={r!r}")
     return _finite_moment(
@@ -625,8 +629,8 @@ def _mean_variance_raw(raw_moment, b, c):
 
 
 def _mean_variance_dtl(c, x_l, x_u):
-    _, m1, m2 = _dtl_shifted_moments(c, x_l, x_u, 2)
-    return x_l + m1 / c, (m2 - m1 * m1) / c / c
+    w, (_, e1, e2) = _dtl_moments(c, x_l, x_u, 2)
+    return x_l + w * e1, w * (w * (e2 - e1 * e1))
 
 
 def _mean_variance_lognormal(m, sigma):
@@ -739,16 +743,16 @@ def _truncated_gamma2_inv(u, zw):
     L + log1p(L + log1p(L + sqrt(2 L))).  Both are within a few ulp of the
     exact quantile.
     """
-    p2w = _scaled_p12(zw)[1]
+    p2w = _scaled_p(zw, 2)[1]
     upper = u * (zw * zw * p2w) >= 0.3
     lower = ~upper & (u > 0.0)
     z = np.zeros_like(u)   # u = 0 draws z = 0
     s = zw * np.sqrt(2.0 * p2w * u[lower])
     zl = s * (1.0 + s * (1 / 3 + s * (11 / 72 + s * (43 / 540 + s * (769 / 17280 + s * 221 / 8505)))))
     for _ in range(2):
-        # with R = S(z) / z^2 (z < 2 here), f = log(P(2, z) / v) = 2 log(z / s) + log(2 R) - z,
+        # with R = R_2(z) (z < 2 here), f = log(P(2, z) / v) = 2 log(z / s) + log(2 R) - z,
         # f' = 1 / (z R) and f'' / (2 f') = (1 - z - 1 / R) / (2 z)
-        r = _s_over_z2(zl)
+        (r,) = _series_r(zl, 1)
         step = (2.0 * np.log(zl / s) + np.log(2.0 * r) - zl) * zl * r
         zl = zl - step / (1.0 - step * (1.0 - zl - 1.0 / r) / (2.0 * zl))
     z[lower] = zl

@@ -27,7 +27,8 @@ class EstimationError(LindleyFitError, RuntimeError):
     Attributes
     ----------
     best_residual:
-        Smallest max-abs residual seen across all attempted starts, or None.
+        The smallest relative defect of any scan candidate, or for ``dtl`` the
+        distance from the mean to its attainable interval; None if there is none.
     """
 
     def __init__(self, message, best_residual=None):
@@ -40,7 +41,7 @@ class InfeasibleMomentsError(EstimationError, ValueError):
 
 
 class NoSolutionError(EstimationError):
-    """A bracketed scalar solve found no sign change."""
+    """No representable root: from the closed-form ``lindley1`` estimator or the bracketed ``dtl`` solve."""
 
 
 class CatalogError(LindleyFitError, ValueError):

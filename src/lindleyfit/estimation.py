@@ -543,10 +543,7 @@ def estimate_dtl(t: MomentTargets) -> SolveReport:
     mean_variance = dist._MEAN_VARIANCE[Family.DTL]
     c = hi
     for steps in range(1, _DTL_MAX_STEPS + 1):
-        try:
-            mu, var = mean_variance(c, x_l, x_u)
-        except OverflowError:
-            mu = var = math.inf
+        mu, var = mean_variance(c, x_l, x_u)
         if not (math.isfinite(mu) and math.isfinite(var)):
             raise DomainError(f"the mean and variance of {dist.dtl(c, x_l, x_u)} are not finite doubles")
         residual = mu - xbar

@@ -272,6 +272,29 @@ class TestTextbookFormCrossChecks:
                 if want >= 1e-300:
                     assert g == pytest.approx(want, rel=1e-12), (form, x, g, want)
 
+    DTL_MOMENT_CASES = [
+        (c, x_l, x_u)
+        for c in (1e-300, 1e-110, 1e-100, 1e-80, 1e-20, 1e-3, 1.0, 40.0, 1e3)
+        for x_l, x_u in ((0.0, 1.0), (5.0, 6.0), (1000.0, 1001.0))
+    ] + [(2.71, 0.019, 1.46), (1e-3, 0.0, 1e103)]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c,x_l,x_u", DTL_MOMENT_CASES)
+    def test_dtl_moments_against_mpmath(self, c, x_l, x_u):
+        # mean, variance and m3 within 1e-12 of the exact value wherever it is
+        # at least 1e-300; moments taken from P(j, c w) itself, which underflows,
+        # turned the variance negative below c w = 1e-75 and the mean to 0
+        spec = lf.dtl(c, x_l, x_u)
+        got = [lf.mean(spec), lf.variance(spec), lf.raw_moment(spec, 3)]
+        for what, g, want in zip(("mean", "variance", "m3"), got, ref.dtl_moments(c, x_l, x_u)):
+            if want >= 1e-300:
+                assert g == pytest.approx(want, rel=1e-12, abs=0.0), (what, g, want)
+
+    def test_dtl_raw_moments_stop_at_order_4(self):
+        # the window's P(j, c w) / (c w)^j are kept normal for j <= 6 only
+        with pytest.raises(DomainError):
+            lf.raw_moment(lf.dtl(2.71, 0.019, 1.46), 5)
+
     def test_pld_pdf_form(self):
         # the change-of-variables density against the one-expression form,
         # with its x = 0 limits: inf for c < 1, b^2/(1+b) at c = 1, 0 for c > 1

@@ -164,6 +164,22 @@ class TestTpld:
         assert c2 == pytest.approx(c1 / k, rel=1e-9)
 
 
+def test_scan_roots_returns_one_candidate_per_bracket_and_tangent_dip():
+    # on the grid 0, 1, ..., 10 this defect has a sign change in [1, 2], two
+    # roots inside [4, 5] (a dip at 4 that crosses), a double root at 7.3 (a
+    # dip at 7 that only touches) and a root in [9, 9.5], past which it is NaN
+    def g(x, _branch):
+        poly = (1.5 - x) * (x - 4.2) * (x - 4.6) * (x - 7.3) ** 2 * (9.3 - x)
+        return np.where(x <= 9.5, poly, np.nan)
+
+    x, branch = est._scan_roots(g, np.linspace(0.0, 10.0, 11))
+    # sign changes, the edge bracket and both sides of the crossing dip are
+    # bisected to one ulp; the tangent root is the dip's located minimum
+    np.testing.assert_allclose(x[:4], [1.5, 9.3, 4.2, 4.6], rtol=1e-15, atol=0.0)
+    assert x.size == 5 and x[4] == pytest.approx(7.3, abs=1e-6)
+    np.testing.assert_array_equal(branch, np.ones(5))
+
+
 class TestTwoParam:
     def test_pld_table_anchor(self):
         t = est.targets_from_spec(lf.pld(2.66, 2.28))
