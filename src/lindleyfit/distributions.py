@@ -395,17 +395,17 @@ def _dtl_mass(c, lo, hi):
     return w * (1.0 + lo) * p1, w * w * p2
 
 
-def _dtl_moments(c, x_l, x_u, k):
-    """(w, [E[T^j] for j = 0..k]) for T = (X - x_l) / w on the window w = x_u - x_l, cut as in _dtl_mass.
+def _dtl_moments(z, a, w, k):
+    """[E[T^j] for j = 0..k] for T = (X - x_l) / w, with a = 1 + x_l and z = c w >= 0 (an array allowed).
 
-    In t the density is (a + w t) e^{-z t} on [0, 1] with a = 1 + x_l and z = c w, and
-    int_0^1 t^m e^{-z t} dt = m! P(m+1, z) / z^(m+1): positive terms only, and no power of 1/c.
+    In t the density is (a + w t) e^{-z t} on [0, 1], and
+    int_0^1 t^m e^{-z t} dt = m! P(m+1, z) / z^(m+1): positive terms only, no
+    power of 1/c, and z = 0 is the flat c -> 0+ limit.  Callers cut the window
+    as _dtl_mass does.
     """
-    w = min(x_u - x_l, _DTL_ZW_MAX / c)
-    a = 1.0 + x_l
-    p = [float(v) for v in _scaled_p(c * w, k + 2)]
+    p = _scaled_p(z, k + 2)
     norm = a * p[0] + w * p[1]
-    return w, [math.factorial(j) * (a * p[j] + w * p[j + 1] * (j + 1)) / norm for j in range(k + 1)]
+    return [math.factorial(j) * (a * p[j] + w * p[j + 1] * (j + 1)) / norm for j in range(k + 1)]
 
 
 def _nwl_masses(b, c):
@@ -580,7 +580,8 @@ def _raw_moment_dtl(r, c, x_l, x_u):
     # E[(x_l + w T)^r] by the binomial expansion, every term >= 0
     if r > 4:
         raise DomainError(f"dtl raw moments are computed up to order 4, got r={r}")
-    w, e = _dtl_moments(c, x_l, x_u, r)
+    w = min(x_u - x_l, _DTL_ZW_MAX / c)
+    e = _dtl_moments(c * w, 1.0 + x_l, w, r)
     return sum(math.comb(r, j) * x_l ** (r - j) * w ** j * e[j] for j in range(r + 1))
 
 
@@ -622,14 +623,36 @@ def raw_moment(spec: DistributionSpec, r: int) -> float:
 # Mean with variance, per family.  The mixture, power and new-weighted forms
 # also take parameter arrays, for the batched estimators.
 
-def _mean_variance_raw(raw_moment, b, c):
+# lnGamma(1 + 2s) - 2 lnGamma(1 + s) = sum_{k>=2} (-1)^k zeta(k) (2^k - 2) s^k / k, highest power first;
+# for s <= 0.05 the terms fall by 2s <= 0.1 each, so 18 of them reach the last bit
+_LOG_GAMMA_RATIO = tuple((-1) ** k * special.zeta(k) * (2.0**k - 2.0) / k for k in range(19, 1, -1))
+
+
+def _mean_variance_pld(b, c):
+    # with s = 1/c and u = s/(b+1), m2/mu^2 = Gamma(1+2s)/Gamma(1+s)^2 (1 - (u/(1+u))^2), so
+    # Var/mu^2 is expm1 of a log that vanishes with s: no mu2' - mu^2 cancellation at large c
+    s = 1.0 / c
+    mu = _raw_moment_pld(1, b, c)
+    small = np.minimum(s, 0.05)   # keep the series inside its own range
+    series = 0.0
+    for coef in _LOG_GAMMA_RATIO:
+        series = series * small + coef
+    log_ratio = np.where(
+        s <= 0.05, series * small * small, special.gammaln(1.0 + 2.0 * s) - 2.0 * special.gammaln(1.0 + s)
+    )
+    u = s / (b + 1.0)
+    return mu, mu * (mu * np.expm1(log_ratio + np.log1p(-(u / (1.0 + u)) ** 2)))
+
+
+def _mean_variance_nwl(b, c):
     # nwl mixes Gamma(2) and Gamma(3) parts, so var >= E[X^2]/4 and the difference keeps its digits
-    mu = raw_moment(1, b, c)
-    return mu, raw_moment(2, b, c) - mu * mu
+    mu = _raw_moment_nwl(1, b, c)
+    return mu, _raw_moment_nwl(2, b, c) - mu * mu
 
 
 def _mean_variance_dtl(c, x_l, x_u):
-    w, (_, e1, e2) = _dtl_moments(c, x_l, x_u, 2)
+    w = min(x_u - x_l, _DTL_ZW_MAX / c)
+    _, e1, e2 = _dtl_moments(c * w, 1.0 + x_l, w, 2)
     return x_l + w * e1, w * (w * (e2 - e1 * e1))
 
 
@@ -640,8 +663,8 @@ def _mean_variance_lognormal(m, sigma):
 
 _MEAN_VARIANCE = {
     **_per_mixture(_mean_variance_mixture),
-    Family.PLD: functools.partial(_mean_variance_raw, _raw_moment_pld),
-    Family.NWL: functools.partial(_mean_variance_raw, _raw_moment_nwl),
+    Family.PLD: _mean_variance_pld,
+    Family.NWL: _mean_variance_nwl,
     Family.DTL: _mean_variance_dtl,
     Family.LOGNORMAL: _mean_variance_lognormal,
 }
@@ -657,7 +680,8 @@ def variance(spec: DistributionSpec) -> float:
 
     The mixture families use the law of total variance over their two gamma
     components and the truncated family the moments of its shifted variable;
-    the power and new-weighted families use mu2' - mu^2 from the raw moments.
+    the power family takes Var/mu^2 by expm1, and the new-weighted family
+    uses mu2' - mu^2 from its raw moments.
     Their sprawling one-expression variants live in the test suite only.
     """
     return _finite_moment("variance", spec, lambda: _MEAN_VARIANCE[spec.family](*spec.params)[1])

@@ -1,14 +1,15 @@
 """Method-of-moments parameter recovery for every family.
 
 Closed forms are used where they exist (one-parameter, two-parameter and
-lognormal families), and ``dtl`` solves its one mean equation by bracketed
-Newton.  The power / new-weighted families match {mean = xbar,
-variance = s2} and the generalized / new-generalized families add the third
-raw moment.  Each of those four systems reduces exactly to one unknown, with
-the other parameters in closed form, so each is solved by one vectorised
-scan of a 1-D defect followed by bisection (:func:`_scan_roots`).  Every
-candidate is judged by the family's own moment forms, relative to the
-targets.
+lognormal families).  Every other family is solved by bisection, all through
+one routine, :func:`_bisect`.  ``dtl`` matches its one mean equation, which
+falls strictly in z = c (x_u - x_l), by bisecting ln z.  The power /
+new-weighted families match {mean = xbar, variance = s2} and the generalized /
+new-generalized families add the third raw moment.  Each of those four
+systems reduces exactly to one unknown, with the other parameters in closed
+form, so each is solved by one vectorised scan of a 1-D defect followed by
+bisection (:func:`_scan_roots`).  Every candidate is judged by the family's
+own moment forms, relative to the targets.
 
 The three-parameter moment systems are genuinely multi-rooted: distinct
 positive parameter vectors can share their first three moments.  All roots
@@ -29,7 +30,6 @@ from scipy import special
 from . import distributions as dist
 from .distributions import DistributionSpec, Family
 from .errors import (
-    DomainError,
     EstimationError,
     FamilyError,
     InfeasibleMomentsError,
@@ -482,39 +482,19 @@ def estimate_three_param(family, t: MomentTargets) -> SolveReport:
     return _report_root(family, *_moment_roots(family, t))
 
 
-def _dtl_flat_mean(x_l: float, x_u: float) -> float:
-    """Mean of the density proportional to 1 + x on [x_l, x_u], the c -> 0+ limit of dtl.
-
-    With h = (x_l + x_u)/2 it is (h + (x_u^2 + x_u x_l + x_l^2)/3) / (1 + h),
-    written as h/(1 + h) (1 + x_u g) with g = 2(1 + a + a^2) / (3(1 + a)) and
-    a = x_l/x_u, so that no term overflows.
-    """
-    a = x_l / x_u
-    h = 0.5 * x_u + 0.5 * x_l
-    g = 2.0 * (1.0 + a + a * a) / (3.0 * (1.0 + a))
-    return h / (1.0 + h) * (1.0 + x_u * g)
-
-
-_DTL_MAX_STEPS = 100
-
-
 def estimate_dtl(t: MomentTargets) -> SolveReport:
-    """Truncation bounds from the order statistics, then c from the mean match by bracketed Newton.
+    """Truncation bounds from the order statistics, then c from the mean match by bisection.
 
-    The density is proportional to (1 + x) e^{-cx} on [x_l, x_u], an exponential
-    family in c, so d mean/dc = -variance exactly and one mean/variance
-    evaluation gives both the defect and its slope.  The mean falls strictly
-    from mu0 = mean of (1 + x) on the window (c -> 0+) to x_l (c -> inf), so
-    the attainable means are exactly (x_l, mu0) and the root is unique.  The
-    bracket comes in closed form and scales with the masses: the variance on
-    the window is at most w^2/4 (w = x_u - x_l), so mean(c) >= mu0 - c w^2/4
-    and lo = 4 (mu0 - xbar)/w^2 has mean >= xbar; truncation at x_u lowers the
-    mean at every c, so hi, the root for the untruncated window [x_l, inf),
-    has mean < xbar.  Newton starts at hi, which is the root itself when the
-    window is wide.  A Newton step is taken when it lands strictly inside the
-    bracket, else the geometric midpoint (the arithmetic one once hi < 4 lo);
-    every evaluation shrinks the bracket, and the solve stops at a step below
-    4 ulp of c.  ``iterations`` counts the steps.
+    With w = x_u - x_l and z = c w, T = (X - x_l)/w has density proportional to
+    (1 + x_l + w t) e^{-z t} on [0, 1], so the match is E[T](z) = tau with
+    tau = (xbar - x_l)/w, free of the mass unit.  The density is an exponential
+    family in z, so E[T] falls strictly, from its flat z = 0 value (mean mu0 =
+    x_l + w E[T](0)) to E[T] at the window cut _DTL_ZW_MAX, past which the dtl
+    forms treat the window as unbounded.  The attainable means are
+    (x_l + w E[T](cut), mu0), whose lower end is about x_l + w 1e-50: no sample
+    of n points reaches below it, since tau >= 1/n.  ln z is bisected to one ulp
+    from z = 1e-300 (where E[T] is its z = 0 value to the last bit) up to the
+    cut, and c = z/w.
     """
     if not (t.x_min < t.x_max):
         raise InfeasibleMomentsError(
@@ -525,44 +505,29 @@ def estimate_dtl(t: MomentTargets) -> SolveReport:
             f"need 0 <= x_min <= xbar <= x_max, got {t.x_min}, {t.xbar}, {t.x_max}"
         )
     x_l, x_u, xbar = t.x_min, t.x_max, t.xbar
-    mu0 = _dtl_flat_mean(x_l, x_u)
-    if not (x_l < xbar < mu0):
+    a, w = 1.0 + x_l, x_u - x_l
+    tau = (xbar - x_l) / w
+
+    def mean_t(z):
+        return dist._dtl_moments(z, a, w, 1)[1]
+
+    cut, flat = mean_t(np.array([dist._DTL_ZW_MAX, 0.0]))
+    if not (cut < tau < flat):
+        mu0 = float(x_l + w * flat)
         raise NoSolutionError(
             f"mean {xbar} is outside the attainable truncated-mean range ({x_l:.6g}, {mu0:.6g})",
-            best_residual=max(xbar - mu0, x_l - xbar),
+            best_residual=max(xbar - mu0, float(x_l + w * cut) - xbar),
         )
-    # hi: the root on the untruncated window [x_l, inf), where the mean is
-    # x_l + (ac + 2)/(c(ac + 1)) with a = 1 + x_l, i.e. the positive root of
-    # a d c^2 + (d - a) c - 2 = 0; truncation lowers the mean at every c
-    a, d, w = 1.0 + x_l, xbar - x_l, x_u - x_l
-    r = math.hypot(a - d, math.sqrt(8.0 * a) * math.sqrt(d))
-    hi = (a - d + r) / a / d / 2.0 if a >= d else 4.0 / (d - a + r)
-    lo = 4.0 * ((mu0 - xbar) / w) / w
-    if not (0.0 < lo and hi < math.inf):
+    lo, hi = _bisect(lambda u: mean_t(np.exp(u)) > tau, np.log(1e-300), np.log(dist._DTL_ZW_MAX))
+    c = float(np.exp(0.5 * (lo + hi))) / w
+    if not (0.0 < c < math.inf):
         raise NoSolutionError(f"the root c for mean {xbar} on [{x_l}, {x_u}] is not a finite positive float")
-    mean_variance = dist._MEAN_VARIANCE[Family.DTL]
-    c = hi
-    for steps in range(1, _DTL_MAX_STEPS + 1):
-        mu, var = mean_variance(c, x_l, x_u)
-        if not (math.isfinite(mu) and math.isfinite(var)):
-            raise DomainError(f"the mean and variance of {dist.dtl(c, x_l, x_u)} are not finite doubles")
-        residual = mu - xbar
-        if residual > 0:
-            lo = c
-        elif residual < 0:
-            hi = c
-        else:
-            break
-        c_next = c + residual / var if var > 0 else math.inf
-        if not (lo < c_next < hi):
-            c_next = math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo else 0.5 * (lo + hi)
-        if abs(c_next - c) <= 4.0 * math.ulp(c):
-            break
-        c = c_next
+    spec = dist.dtl(c, x_l, x_u)
+    residual = dist.mean(spec) - xbar
     return SolveReport(
-        spec=dist.dtl(c, x_l, x_u),
+        spec=spec,
         residuals=np.array([residual]),
-        iterations=steps,
+        iterations=0,
         converged=bool(abs(residual) <= NEWTON_TOL * xbar),
     )
 

@@ -7,7 +7,7 @@ mpmath, an implementation independent of the package.  They cancel badly at
 large rate*x, which is exactly why the shipped code uses incomplete-gamma
 compositions instead; at the moderate arguments used in tests both agree to
 ~1e-10.  Also provides a Gamma(2) quantile oracle, the dtl sampler as it
-stood with scipy's gammaincinv, and brute-force
+stood with scipy's gammaincinv, the exact dtl mean root, and brute-force
 root enumerations of the three-parameter moment systems, used to decide
 whether a parameter vector is the canonical (smallest-c) root of its own
 moments.  Production code never imports this module.
@@ -170,6 +170,38 @@ def dtl_moments(c, x_l, x_u):
         ey = [(a * integral(j) + integral(j + 1)) / (a * integral(0) + integral(1)) for j in range(4)]
         m3 = sum(mpmath.binomial(3, j) * x_l ** (3 - j) * ey[j] for j in range(4))
         return float(x_l + ey[1]), float(ey[2] - ey[1] ** 2), float(m3)
+
+
+def dtl_mean_root(xbar, x_l, x_u, c0):
+    """The c > 0 with dtl mean exactly ``xbar`` (a double, taken as exact), at 40 digits, by secant from c0.
+
+    The mean is x_l + E[Y] with E[Y] as in :func:`dtl_moments`.
+    """
+    with mpmath.workdps(40):
+        xbar, x_l, x_u = (mpmath.mpf(v) for v in (xbar, x_l, x_u))
+        w, a = x_u - x_l, 1 + x_l
+
+        def defect(c):
+            def integral(m):
+                return mpmath.gammainc(m + 1, 0, c * w) / c ** (m + 1)
+
+            return x_l + (a * integral(1) + integral(2)) / (a * integral(0) + integral(1)) - xbar
+
+        return float(mpmath.findroot(defect, mpmath.mpf(c0), tol=mpmath.mpf(10) ** -36))
+
+
+def pld_variance_exact(b, c):
+    """pld variance m2 - mu^2 at 60 digits, from m_r = b^(-rs) Gamma(1 + rs) (b + 1 + rs)/(b + 1), s = 1/c.
+
+    Var/mu^2 is about s^2, so the difference loses about 2 log10(c) of the 60 digits.
+    """
+    with mpmath.workdps(60):
+        b, s = mpmath.mpf(b), 1 / mpmath.mpf(c)
+
+        def raw(r):
+            return b ** (-r * s) * mpmath.gamma(1 + r * s) * (b + 1 + r * s) / (b + 1)
+
+        return float(raw(2) - raw(1) ** 2)
 
 
 def gamma2_cdf(z):

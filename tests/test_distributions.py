@@ -322,6 +322,16 @@ class TestTextbookFormCrossChecks:
                 ref.pld_variance(b, c), rel=1e-10
             )
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("b", [1e-2, 0.3, 2.0, 1e2])
+    def test_pld_variance_against_mpmath(self, b):
+        # Var/mu^2 is about 1/c^2, so mu2' - mu^2 lost about 2 log10(c) digits:
+        # 3.2e-8 relative at c = 1e4 and 1.3e-2 at 1e7 for b = 2
+        cs = np.concatenate([np.geomspace(0.5, 1e10, 41), [19.99, 20.0, 20.01]])   # s = 1/c = 0.05 switches forms
+        got = [lf.variance(lf.pld(b, c)) for c in cs]
+        for c, g in zip(cs, got):
+            assert g == pytest.approx(ref.pld_variance_exact(b, c), rel=1e-12, abs=0.0), c
+
     def test_pld_mean_form(self):
         for b, c in [(2.66, 2.28), (1.0, 1.0), (0.6, 0.8)]:
             assert lf.mean(lf.pld(b, c)) == pytest.approx(ref.pld_mean(b, c), rel=1e-12)

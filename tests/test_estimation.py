@@ -15,7 +15,6 @@ from conftest import checkout_env
 from lindleyfit import estimation as est
 from lindleyfit.distributions import Family
 from lindleyfit.errors import (
-    DomainError,
     EstimationError,
     FamilyError,
     InfeasibleMomentsError,
@@ -434,15 +433,19 @@ class TestDtl:
 
     @pytest.mark.parametrize("x_l,x_u,c", [(5.0, 6.0, 0.01), (1000.0, 1001.0, 0.1)])
     def test_narrow_window_far_from_zero(self, x_l, x_u, c):
-        # the mean barely moves with c here, so a mean noisy in its last bits
-        # would leave Newton stepping at the noise floor
+        # the mean barely moves with c here: on [1000, 1001] one ulp of xbar
+        # moves the root by 1.4e-11 relative, so c is checked against the
+        # exact root for the rounded xbar, and the generating c only as far
+        # as one ulp of xbar pins it
         xbar = lf.mean(lf.dtl(c, x_l, x_u))
         r = est.estimate_dtl(targets(xbar, 0.1, x_min=x_l, x_max=x_u))
         assert r.converged
         assert r.iterations <= 8
-        assert r.spec.params[0] == pytest.approx(c, rel=1e-12, abs=0.0)
+        c_hat = r.spec.params[0]
+        assert c_hat == pytest.approx(ref.dtl_mean_root(xbar, x_l, x_u, c), rel=1e-12, abs=0.0)
+        assert abs(c_hat - c) <= math.ulp(xbar) / lf.variance(r.spec)
 
-    @pytest.mark.parametrize("unit", [1e-3, 1e5, 1e6, 1e8])
+    @pytest.mark.parametrize("unit", [1e-300, 1e-155, 1e-3, 1e5, 1e6, 1e8, 1e155, 1e300])
     def test_mass_unit_does_not_matter(self, unit):
         # a truncated Salpeter sample (slope 2.35 on [0.2, 40]) in other units
         u = np.random.default_rng(7).uniform(size=800)
@@ -463,9 +466,17 @@ class TestDtl:
         # c, about 1/(xbar - x_l), is past the largest double
         with pytest.raises(NoSolutionError):
             est.estimate_dtl(targets(5e-324, 1.0, x_min=0.0, x_max=2e-323))
-        # and the second moment of masses near 1e200 is past it
-        with pytest.raises(DomainError):
-            est.estimate_dtl(targets(5e200, 1.0, x_min=1e200, x_max=1e201))
+        # the second moment of masses near 1e200 is past it, but the mean match needs only the mean
+        r = est.estimate_dtl(targets(5e200, 1.0, x_min=1e200, x_max=1e201))
+        assert r.converged
+        assert abs(lf.mean(r.spec) / 5e200 - 1.0) <= 1e-12
+
+    def test_mean_below_the_window_cut(self):
+        # (xbar - x_l)/w = 1e-60 is below E[T] at c w = 1e50, where the window
+        # is cut; a sample of n points has (xbar - x_l)/w >= 1/n
+        with pytest.raises(NoSolutionError, match=r"\(0, 0\.555556\)") as err:
+            est.estimate_dtl(targets(1e-60, 1.0, x_min=0.0, x_max=1.0))
+        assert 0.0 < err.value.best_residual < 1e-49
 
     @settings(max_examples=150, deadline=None)
     @given(
