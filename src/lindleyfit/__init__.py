@@ -33,9 +33,7 @@ from .estimation import (
     estimate_dtl,
     estimate_lindley1,
     estimate_lognormal,
-    estimate_three_param,
     estimate_tpld,
-    estimate_two_param,
     targets_from_spec,
 )
 from .gof import (

@@ -89,8 +89,7 @@ def _parse_families(text: str) -> tuple[Family, ...]:
 
 def _load_targets(config: RunConfig, path: str):
     """The catalog at ``path`` (column by index or header name), its summary and its moment targets."""
-    column = int(config.column) if config.column.lstrip("-").isdigit() else config.column
-    cat = load_csv(path, column=column)
+    cat = load_csv(path, column=config.column)
     summ = summarize(cat)
     return cat, summ, estimation.MomentTargets.from_summary(summ)
 

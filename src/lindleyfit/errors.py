@@ -41,7 +41,7 @@ class InfeasibleMomentsError(EstimationError, ValueError):
 
 
 class NoSolutionError(EstimationError):
-    """No representable root: from the closed-form ``lindley1`` estimator or the bracketed ``dtl`` solve."""
+    """No representable root: from the closed-form ``lindley1`` estimator or the ``dtl`` bisection."""
 
 
 class CatalogError(LindleyFitError, ValueError):

@@ -1,15 +1,18 @@
 """Method-of-moments parameter recovery for every family.
 
-Closed forms are used where they exist (one-parameter, two-parameter and
-lognormal families).  Every other family is solved by bisection, all through
-one routine, :func:`_bisect`.  ``dtl`` matches its one mean equation, which
-falls strictly in z = c (x_u - x_l), by bisecting ln z.  The power /
-new-weighted families match {mean = xbar, variance = s2} and the generalized /
-new-generalized families add the third raw moment.  Each of those four
-systems reduces exactly to one unknown, with the other parameters in closed
-form, so each is solved by one vectorised scan of a 1-D defect followed by
-bisection (:func:`_scan_roots`).  Every candidate is judged by the family's
-own moment forms, relative to the targets.
+:func:`estimate` dispatches by family.  ``lindley1``, ``tpld`` and the
+lognormal have closed forms, and ``dtl`` matches its one mean equation,
+which falls strictly in z = c (x_u - x_l), by bisecting ln z with
+:func:`_bisect`.  Each of these single-root fits is judged by one rule,
+:func:`_closed_form_report`: its mean defect, and for the two-parameter forms
+its variance defect, each relative to its target.
+
+The power / new-weighted families match {mean = xbar, variance = s2} and the
+generalized / new-generalized families add the third raw moment.  Each of
+those four systems reduces exactly to one unknown, with the other parameters
+in closed form, so :func:`_estimate_scanned` solves each by one vectorised
+scan of a 1-D defect followed by bisection (:func:`_scan_roots`).  Every
+candidate is judged by the family's own moment forms, relative to the targets.
 
 The three-parameter moment systems are genuinely multi-rooted: distinct
 positive parameter vectors can share their first three moments.  All roots
@@ -31,7 +34,6 @@ from . import distributions as dist
 from .distributions import DistributionSpec, Family
 from .errors import (
     EstimationError,
-    FamilyError,
     InfeasibleMomentsError,
     NoSolutionError,
 )
@@ -106,20 +108,20 @@ def estimate_lindley1(t: MomentTargets) -> SolveReport:
         c_hat = 4.0 / (x - 1.0 + x * math.sqrt(1.0 + (6.0 + 1.0 / x) / x))
     if not (0.0 < c_hat < math.inf):
         raise NoSolutionError(f"the root c = {c_hat} for mean {x} is not a finite positive float")
-    spec = dist.lindley1(c_hat)
-    residual = dist.mean(spec) - x
-    return SolveReport(
-        spec=spec,
-        residuals=np.array([residual]),
-        iterations=0,
-        converged=bool(abs(residual) <= NEWTON_TOL * x),
-    )
+    return _closed_form_report(dist.lindley1(c_hat), t, 1)
 
 
-def _closed_form_report(spec: DistributionSpec, t: MomentTargets) -> SolveReport:
-    """The mean and variance defects of a closed-form fit, each judged relative to its target."""
-    residuals = np.array([dist.mean(spec) - t.xbar, dist.variance(spec) - t.s2])
-    converged = bool(np.all(np.abs(residuals) <= NEWTON_TOL * np.array([t.xbar, t.s2])))
+def _closed_form_report(spec: DistributionSpec, t: MomentTargets, k: int) -> SolveReport:
+    """The defects of a single-root fit on the first k of (mean, variance), each judged relative to its target.
+
+    The variance is evaluated only for k = 2: a one-equation fit can have a
+    finite mean but no finite variance.
+    """
+    defects = [dist.mean(spec) - t.xbar]
+    if k == 2:
+        defects.append(dist.variance(spec) - t.s2)
+    residuals = np.array(defects)
+    converged = bool(np.all(np.abs(residuals) <= NEWTON_TOL * np.array([t.xbar, t.s2])[:k]))
     return SolveReport(spec=spec, residuals=residuals, iterations=0, converged=converged)
 
 
@@ -144,7 +146,7 @@ def estimate_tpld(t: MomentTargets) -> SolveReport:
         / ((xbar * root + xbar * xbar - s2) * (2.0 * xbar + root))
     )
     # tpld() itself raises ParameterError for a pair with b*c <= -1
-    return _closed_form_report(dist.tpld(math.ldexp(b_hat, e), math.ldexp(c_hat, -e)), t)
+    return _closed_form_report(dist.tpld(math.ldexp(b_hat, e), math.ldexp(c_hat, -e)), t, 2)
 
 
 def estimate_lognormal(t: MomentTargets) -> SolveReport:
@@ -152,7 +154,7 @@ def estimate_lognormal(t: MomentTargets) -> SolveReport:
     sigma2 = math.log1p(t.s2 / (t.xbar * t.xbar))
     sigma = math.sqrt(sigma2)
     m = t.xbar * math.exp(-0.5 * sigma2)
-    return _closed_form_report(dist.lognormal(m, sigma), t)
+    return _closed_form_report(dist.lognormal(m, sigma), t, 2)
 
 
 # --------------------------------------------------------------------------
@@ -330,7 +332,7 @@ def _nwl_candidates(t: MomentTargets) -> np.ndarray:
     defect.
     """
     m1 = t.xbar
-    r2 = 1.0 + t.s2 / m1 / m1   # m2 / m1^2
+    m2 = t.s2 + m1 * m1
 
     def c_of(v):
         k = (m1 - 1.0) * (1.0 + v)
@@ -338,9 +340,7 @@ def _nwl_candidates(t: MomentTargets) -> np.ndarray:
         return (root - k) / (2.0 * m1) if m1 < 1.0 else 4.0 * (1.0 + v + v * v) / (k + root)
 
     def g(v, _branch):
-        c = c_of(v)
-        g2 = 1.0 + v * (1.0 + v)
-        return 2.0 * (c * g2 + 3.0 * (1.0 + v * g2)) / ((c + 1.0 + v) * (c * m1) ** 2 * r2) - 1.0
+        return dist._raw_moment_nwl(2, (1.0 - v) / v, c_of(v)) / m2 - 1.0
 
     v, _ = _scan_roots(g, _UNIT_GRID)
     return np.column_stack([(1.0 - v) / v, c_of(v)])
@@ -437,8 +437,13 @@ def _moment_roots(family: Family, t: MomentTargets):
     return _collect_roots(params, raw, rel)
 
 
-def _report_root(family: Family, roots, best_residual: float) -> SolveReport:
-    """The report of the root :func:`_select_root` picks; EstimationError when there is none."""
+def _estimate_scanned(family: Family, t: MomentTargets) -> SolveReport:
+    """Solve a scanned family's moment system and report the root :func:`_select_root` picks.
+
+    Raises EstimationError when no candidate has a finite defect, or none is
+    within NEWTON_TOL.
+    """
+    roots, best_residual = _moment_roots(family, t)
     if best_residual == math.inf:
         raise EstimationError(
             f"{family.value} moment solve failed: the seed scan found no candidate root with a finite defect",
@@ -452,34 +457,6 @@ def _report_root(family: Family, roots, best_residual: float) -> SolveReport:
         )
     p, raw, _ = _select_root(roots)
     return SolveReport(spec=DistributionSpec(family, tuple(p)), residuals=raw, iterations=0, converged=True)
-
-
-def estimate_two_param(family, t: MomentTargets) -> SolveReport:
-    """Solve {mean = xbar, variance = s2} for the power or new-weighted family.
-
-    Each system reduces exactly to one unknown (:func:`_pld_candidates`,
-    :func:`_nwl_candidates`), solved by a 1-D scan with bisection.  Both
-    families' moment maps were found injective, so there is one root.
-    """
-    family = Family(family)
-    if family not in (Family.PLD, Family.NWL):
-        raise FamilyError(f"estimate_two_param handles pld and nwl, got {family.value}")
-    return _report_root(family, *_moment_roots(family, t))
-
-
-def estimate_three_param(family, t: MomentTargets) -> SolveReport:
-    """Solve {mean, variance, third raw moment} for the three-parameter families.
-
-    Each system reduces exactly to one unknown (:func:`_gld_candidates`,
-    :func:`_ngld_candidates`), solved by a 1-D scan with bisection.  These systems admit several exact roots for many
-    targets; among the best-residual class of roots the one with the
-    smallest ``c`` (then lexicographically smallest (a, b)) is returned,
-    which reproduces the published fits.
-    """
-    family = Family(family)
-    if family not in (Family.GLD, Family.NGLD):
-        raise FamilyError(f"estimate_three_param handles gld and ngld, got {family.value}")
-    return _report_root(family, *_moment_roots(family, t))
 
 
 def estimate_dtl(t: MomentTargets) -> SolveReport:
@@ -496,14 +473,8 @@ def estimate_dtl(t: MomentTargets) -> SolveReport:
     from z = 1e-300 (where E[T] is its z = 0 value to the last bit) up to the
     cut, and c = z/w.
     """
-    if not (t.x_min < t.x_max):
-        raise InfeasibleMomentsError(
-            f"degenerate support: x_min={t.x_min} must be < x_max={t.x_max}"
-        )
-    if not (0 <= t.x_min and t.x_min <= t.xbar <= t.x_max):
-        raise InfeasibleMomentsError(
-            f"need 0 <= x_min <= xbar <= x_max, got {t.x_min}, {t.xbar}, {t.x_max}"
-        )
+    if not (0 <= t.x_min < t.x_max):
+        raise InfeasibleMomentsError(f"need 0 <= x_min < x_max, got x_min={t.x_min}, x_max={t.x_max}")
     x_l, x_u, xbar = t.x_min, t.x_max, t.xbar
     a, w = 1.0 + x_l, x_u - x_l
     tau = (xbar - x_l) / w
@@ -522,25 +493,15 @@ def estimate_dtl(t: MomentTargets) -> SolveReport:
     c = float(np.exp(0.5 * (lo + hi))) / w
     if not (0.0 < c < math.inf):
         raise NoSolutionError(f"the root c for mean {xbar} on [{x_l}, {x_u}] is not a finite positive float")
-    spec = dist.dtl(c, x_l, x_u)
-    residual = dist.mean(spec) - xbar
-    return SolveReport(
-        spec=spec,
-        residuals=np.array([residual]),
-        iterations=0,
-        converged=bool(abs(residual) <= NEWTON_TOL * xbar),
-    )
+    return _closed_form_report(dist.dtl(c, x_l, x_u), t, 1)
 
 
 _ESTIMATORS = {
     Family.LINDLEY1: estimate_lindley1,
     Family.TPLD: estimate_tpld,
-    Family.PLD: functools.partial(estimate_two_param, Family.PLD),
-    Family.GLD: functools.partial(estimate_three_param, Family.GLD),
-    Family.NGLD: functools.partial(estimate_three_param, Family.NGLD),
-    Family.NWL: functools.partial(estimate_two_param, Family.NWL),
     Family.DTL: estimate_dtl,
     Family.LOGNORMAL: estimate_lognormal,
+    **{family: functools.partial(_estimate_scanned, family) for family in _CANDIDATES},
 }
 
 

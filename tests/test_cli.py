@@ -166,6 +166,25 @@ class TestFit:
         assert lines[1].startswith("error:") and "nope.csv" in lines[1], err
         assert stdout.startswith("catalog synth:") and "best fit: lindley1" in stdout
 
+    @pytest.fixture()
+    def two_column_csv(self, tmp_path):
+        masses = np.random.default_rng(2).gamma(2.0, size=200).tolist()
+        path = tmp_path / "two.csv"
+        path.write_text("id,mass\n" + "".join(f"{i},{m!r}\n" for i, m in enumerate(masses, 1)))
+        return path
+
+    @pytest.mark.parametrize("column", ["mass", "1"])
+    def test_column_by_header_name_or_index(self, two_column_csv, capsys, column):
+        code, stdout, _ = run(capsys, "fit", "--input", str(two_column_csv), "--column", column,
+                              "--families", "lindley1")
+        assert code == 0
+        assert stdout.startswith("catalog two: n=200,") and "best fit: lindley1" in stdout
+
+    def test_negative_column_is_config_error(self, two_column_csv, capsys):
+        code, stdout, err = run(capsys, "fit", "--input", str(two_column_csv), "--column", "-1")
+        assert code == 2
+        assert err == "error: column index must be >= 0, got -1\n" and stdout == ""
+
     def test_bins_must_exceed_parameter_count(self, synth_csv, capsys):
         code, _, err = run(capsys, "fit", "--input", str(synth_csv), "--bins", "3")
         assert code == 2

@@ -16,7 +16,6 @@ from lindleyfit import estimation as est
 from lindleyfit.distributions import Family
 from lindleyfit.errors import (
     EstimationError,
-    FamilyError,
     InfeasibleMomentsError,
     LindleyFitError,
     NoSolutionError,
@@ -182,22 +181,22 @@ def test_scan_roots_returns_one_candidate_per_bracket_and_tangent_dip():
 class TestTwoParam:
     def test_pld_table_anchor(self):
         t = est.targets_from_spec(lf.pld(2.66, 2.28))
-        r = est.estimate_two_param(Family.PLD, t)
+        r = est.estimate(Family.PLD, t)
         np.testing.assert_allclose(r.spec.params, (2.66, 2.28), rtol=1e-6)
 
     def test_nwl_table_anchor(self):
         t = est.targets_from_spec(lf.nwl(1.57, 3.77))
-        r = est.estimate_two_param(Family.NWL, t)
+        r = est.estimate(Family.NWL, t)
         np.testing.assert_allclose(r.spec.params, (1.57, 3.77), rtol=1e-6)
 
     def test_pld_unit_round_trip(self):
         t = est.targets_from_spec(lf.pld(1.0, 1.0))
-        r = est.estimate_two_param(Family.PLD, t)
+        r = est.estimate(Family.PLD, t)
         np.testing.assert_allclose(r.spec.params, (1.0, 1.0), rtol=1e-8)
 
     def test_converged_residuals_below_tolerance(self):
         t = est.targets_from_spec(lf.nwl(0.7, 2.5))
-        r = est.estimate_two_param(Family.NWL, t)
+        r = est.estimate(Family.NWL, t)
         assert r.converged
         assert np.max(np.abs(r.residuals)) <= est.NEWTON_TOL
 
@@ -206,25 +205,21 @@ class TestTwoParam:
         for fam, maker in ((Family.PLD, lf.pld), (Family.NWL, lf.nwl)):
             for _ in range(10):
                 p = rng.uniform(0.3, 6.0, size=2)
-                r = est.estimate_two_param(fam, est.targets_from_spec(maker(*p)))
+                r = est.estimate(fam, est.targets_from_spec(maker(*p)))
                 np.testing.assert_allclose(r.spec.params, p, rtol=1e-5)
 
     def test_infeasible_targets_error(self):
         # variance far below anything the power family can reach at this mean
         with pytest.raises(EstimationError) as err:
-            est.estimate_two_param(Family.PLD, targets(5.0, 1e-6))
+            est.estimate(Family.PLD, targets(5.0, 1e-6))
         assert err.value.best_residual is not None
-
-    def test_family_guard(self):
-        with pytest.raises(FamilyError):
-            est.estimate_two_param(Family.GLD, targets(1.0, 0.5))
 
     @pytest.mark.parametrize("family", [Family.PLD, Family.NWL])
     def test_scan_without_candidates_says_so(self, monkeypatch, family):
         # the same message and best_residual as the three-parameter families
         monkeypatch.setattr(est, "_scan_roots", lambda *args: (np.empty(0), np.empty(0)))
         with pytest.raises(EstimationError, match="seed scan found no candidate") as err:
-            est.estimate_two_param(family, targets(1.0, 0.5))
+            est.estimate(family, targets(1.0, 0.5))
         assert err.value.best_residual is None
 
     def test_solve_evaluates_the_moment_forms_once(self, monkeypatch):
@@ -238,7 +233,7 @@ class TestTwoParam:
             return lambda params: calls.append(1) or moments(params)
 
         monkeypatch.setattr(est, "_moment_map", counted)
-        r = est.estimate_two_param(Family.PLD, law_targets("lognormal"))
+        r = est.estimate(Family.PLD, law_targets("lognormal"))
         assert r.converged
         assert (len(calls), r.iterations) == (1, 0)
 
@@ -250,7 +245,7 @@ class TestTwoParam:
         c = np.exp(rng.uniform(math.log(low), math.log(high), 60))
         for p in zip(b, c):
             t = est.targets_from_spec(lf.DistributionSpec(family, p))
-            r = est.estimate_two_param(family, t)
+            r = est.estimate(family, t)
             assert r.spec.params[1] == pytest.approx(p[1], rel=1e-6)
             if r.spec.params[0] != pytest.approx(p[0], rel=1e-6):
                 # below b ~ 1e-4 the nwl moments move with b only at second
@@ -264,24 +259,24 @@ class TestTwoParam:
         # 1e-10) fall outside the best-residual class
         masses = 1.0 + 1e-5 * np.random.default_rng(5).standard_normal(500)
         t = est.MomentTargets.from_summary(lf.summarize(lf.MassCatalog("flat", masses)))
-        r = est.estimate_two_param(Family.PLD, t)
+        r = est.estimate(Family.PLD, t)
         assert np.max(np.abs(r.residuals) / np.array([t.xbar, t.s2 + t.xbar**2])) <= 1e-14
 
 
 class TestThreeParam:
     def test_gld_table_anchor(self):
         t = est.targets_from_spec(lf.gld(4.80, 8.38, 12.01))
-        r = est.estimate_three_param(Family.GLD, t)
+        r = est.estimate(Family.GLD, t)
         np.testing.assert_allclose(r.spec.params, (4.80, 8.38, 12.01), rtol=1e-5)
 
     def test_ngld_table_anchor(self):
         t = est.targets_from_spec(lf.ngld(7.34, 1.57, 10.61))
-        r = est.estimate_three_param(Family.NGLD, t)
+        r = est.estimate(Family.NGLD, t)
         np.testing.assert_allclose(r.spec.params, (7.34, 1.57, 10.61), rtol=1e-5)
 
     def test_gld_unit_round_trip(self):
         t = est.targets_from_spec(lf.gld(1.0, 1.0, 1.0))
-        r = est.estimate_three_param(Family.GLD, t)
+        r = est.estimate(Family.GLD, t)
         np.testing.assert_allclose(r.spec.params, (1.0, 1.0, 1.0), rtol=1e-8)
 
     def test_returns_exact_root_of_the_system(self):
@@ -290,7 +285,7 @@ class TestThreeParam:
             for _ in range(5):
                 p = rng.uniform(0.5, 6.0, size=3)
                 t = est.targets_from_spec(maker(*p))
-                r = est.estimate_three_param(fam, t)
+                r = est.estimate(fam, t)
                 assert r.converged
                 spec = r.spec
                 assert lf.mean(spec) == pytest.approx(t.xbar, abs=1e-9)
@@ -304,7 +299,7 @@ class TestThreeParam:
         roots = ref.gld_moment_roots(*m)
         assert len(roots) >= 2
         t = est.targets_from_spec(lf.gld(4.80, 8.38, 12.01))
-        r = est.estimate_three_param(Family.GLD, t)
+        r = est.estimate(Family.GLD, t)
         assert r.spec.params[2] == pytest.approx(min(root[2] for root in roots), rel=1e-6)
 
     def test_canonical_random_round_trips(self):
@@ -324,24 +319,20 @@ class TestThreeParam:
                 roots = enum(*mom(*p))
                 if not ref.is_canonical_root(p, roots):
                     continue
-                r = est.estimate_three_param(fam, est.targets_from_spec(maker(*p)))
+                r = est.estimate(fam, est.targets_from_spec(maker(*p)))
                 np.testing.assert_allclose(r.spec.params, p, rtol=1e-5)
                 done += 1
             assert done >= 5
 
-    def test_family_guard(self):
-        with pytest.raises(FamilyError):
-            est.estimate_three_param(Family.PLD, targets(1.0, 0.5))
-
     def test_failing_gld_fit_reports_its_relative_defect(self):
         with pytest.raises(EstimationError, match="best relative defect") as err:
-            est.estimate_three_param(Family.GLD, law_targets("lognormal"))
+            est.estimate(Family.GLD, law_targets("lognormal"))
         assert est.NEWTON_TOL < err.value.best_residual < math.inf
 
     def test_ngld_scan_reaches_narrow_sample_roots(self):
         # a narrow sample puts the root at c ~ 1e9, past the old scan's [1e-6, 1e6]
         t = targets(1.0, 1e-9, 1.0 + 3e-9)
-        r = est.estimate_three_param(Family.NGLD, t)
+        r = est.estimate(Family.NGLD, t)
         assert r.converged
         assert r.spec.params[2] > 1e6
         assert np.all(np.abs(r.residuals) <= est.NEWTON_TOL * np.array([t.xbar, t.s2 + t.xbar**2, t.xbar3]))
@@ -349,7 +340,7 @@ class TestThreeParam:
     def test_ngld_canonical_root(self):
         # its targets have another exact root at c = 6.10, which the c-grid scan found first
         t = est.targets_from_spec(lf.ngld(84.375, 1.769, 0.17))
-        r = est.estimate_three_param(Family.NGLD, t)
+        r = est.estimate(Family.NGLD, t)
         np.testing.assert_allclose(r.spec.params, (84.375, 1.769, 0.17), rtol=1e-8)
 
     def test_gld_is_fitted_in_every_mass_unit(self):
@@ -358,7 +349,7 @@ class TestThreeParam:
         def fit(k):
             masses = np.random.default_rng(0).gamma(2.0, size=200) * k
             t = est.MomentTargets.from_summary(lf.summarize(lf.MassCatalog("gamma", masses)))
-            return np.array(est.estimate_three_param(Family.GLD, t).spec.params)
+            return np.array(est.estimate(Family.GLD, t).spec.params)
 
         unit = fit(1.0)
         assert unit[0] == pytest.approx(2.076, abs=5e-4)
@@ -369,7 +360,7 @@ class TestThreeParam:
     def test_empty_gld_scan_says_so(self):
         # s2 / xbar^2 = 1e-17 rounds r2 = m2 / m1^2 to 1, which leaves the scan nothing
         with pytest.raises(EstimationError, match="seed scan found no candidate") as err:
-            est.estimate_three_param(Family.GLD, targets(1.0, 1e-17, 1.0))
+            est.estimate(Family.GLD, targets(1.0, 1e-17, 1.0))
         assert err.value.best_residual is None
 
     def test_gld_near_miss_reports_its_relative_defect(self):
@@ -377,7 +368,7 @@ class TestThreeParam:
         t = est.targets_from_spec(lf.gld(500.0, 1e3, 1e3 * 0.001 / 0.999))
         t = targets(t.xbar, t.s2, t.xbar3 * (1.0 + 1e-9))
         with pytest.raises(EstimationError, match="best relative defect") as err:
-            est.estimate_three_param(Family.GLD, t)
+            est.estimate(Family.GLD, t)
         assert err.value.best_residual == pytest.approx(1e-9, rel=1e-3)
 
 
@@ -409,6 +400,11 @@ class TestDtl:
     def test_degenerate_support(self):
         with pytest.raises(InfeasibleMomentsError):
             est.estimate_dtl(targets(1.0, 0.1, x_min=1.0, x_max=1.0))
+
+    def test_negative_lower_bound_is_infeasible(self):
+        # MomentTargets holds x_min <= xbar <= x_max; the dtl support starts at 0
+        with pytest.raises(InfeasibleMomentsError, match="0 <= x_min < x_max"):
+            est.estimate_dtl(targets(1.0, 0.1, x_min=-0.5, x_max=2.0))
 
     def test_mean_outside_attainable_range(self):
         # mean almost at the upper bound needs c below the bracket
@@ -553,8 +549,26 @@ class TestDispatch:
         r = est.estimate(Family.GLD, t)
         assert np.max(np.abs(r.residuals)) <= est.NEWTON_TOL
 
+    # a table anchor of each family, and how many moments its fit matches
+    MATCHED = {
+        Family.LINDLEY1: ((2.94,), 1),
+        Family.DTL: ((2.71, 0.019, 1.46), 1),
+        Family.TPLD: ((-0.099, 4.2), 2),
+        Family.LOGNORMAL: ((0.6, 0.9), 2),
+        Family.PLD: ((2.66, 2.28), 2),
+        Family.NWL: ((1.57, 3.77), 2),
+        Family.GLD: ((4.80, 8.38, 12.01), 3),
+        Family.NGLD: ((7.34, 1.57, 10.61), 3),
+    }
 
-MULTISTART = (Family.PLD, Family.NWL, Family.GLD, Family.NGLD)
+    @pytest.mark.parametrize("family", list(MATCHED), ids=lambda f: f.value)
+    def test_report_has_one_defect_per_matched_moment(self, family):
+        params, k = self.MATCHED[family]
+        r = est.estimate(family, est.targets_from_spec(lf.DistributionSpec(family, params)))
+        assert (r.spec.family, len(r.residuals), r.converged, r.iterations) == (family, k, True, 0)
+
+
+SCANNED = (Family.PLD, Family.NWL, Family.GLD, Family.NGLD)
 
 # log-uniform parameter ranges and the numpy seed of each population sweep
 POPULATIONS = {
@@ -586,7 +600,7 @@ def test_population_targets_are_fitted(family):
 def test_batched_moment_maps_match_scalar_moments():
     # every parameter vector the frozen root-selection fixture reports
     fixture = json.loads((Path(__file__).parent / "data" / "root_selection.json").read_text())
-    for fam in MULTISTART:
+    for fam in SCANNED:
         entries = [e for e in fixture["entries"] if e["family"] == fam.value and e["params"]]
         params = np.array([e["params"] for e in entries])
         k = params.shape[1]
@@ -600,7 +614,7 @@ def test_batched_moment_maps_match_scalar_moments():
 
 @settings(max_examples=80, deadline=None)
 @given(
-    family=st.sampled_from(MULTISTART),
+    family=st.sampled_from(SCANNED),
     log_xbar=st.floats(min_value=-200.0, max_value=math.log10(1e150)),
     log_ratio=st.floats(min_value=-6.0, max_value=6.0),
     log_skew=st.floats(min_value=-1.0, max_value=3.0),

@@ -1,4 +1,4 @@
-"""Frozen root selection of the multistart moment estimators.
+"""Frozen root selection of the scanned moment estimators.
 
 ``data/root_selection.json`` maps moment targets to the outcome the
 estimators gave before the multistart solver was vectorised: the result
@@ -11,7 +11,7 @@ numpy:
 * the published anchors of ``test_acceptance``;
 * one sample per generating law of the fit benchmark (lindley1 mixture,
   gld-shaped two-gamma mixture, lognormal, truncated Salpeter power law),
-  fitted by all four multistart families.
+  fitted by all four scanned families.
 
 A solver change must reproduce every stored result type, and the stored
 parameters at rel 1e-9 or, where larger, at the entry's ``rtol``: how far a
@@ -50,16 +50,16 @@ from conftest import random_spec
 from test_acceptance import TABLE_ANCHORS
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "root_selection.json"
-MULTISTART = (Family.PLD, Family.NWL, Family.GLD, Family.NGLD)
+SCANNED = (Family.PLD, Family.NWL, Family.GLD, Family.NGLD)
 THREE_PARAM = {Family.GLD: lf.gld, Family.NGLD: lf.ngld}
 LAWS = ("lindley1", "gld-mix", "lognormal", "salpeter")
 GROUPS = [
-    (group, fam.value) for group in ("criterion3", "anchors", *(f"law-{law}" for law in LAWS)) for fam in MULTISTART
+    (group, fam.value) for group in ("criterion3", "anchors", *(f"law-{law}" for law in LAWS)) for fam in SCANNED
 ]
 
 
 def criterion_3_specs(three_param_draws):
-    """The specs criterion 3 draws for the multistart families, in its order.
+    """The specs criterion 3 draws for the scanned families, in its order.
 
     ``three_param_draws`` maps gld/ngld to how many triples the criterion
     drew before it had 50 canonical ones.
@@ -116,12 +116,12 @@ def law_samples(n=2000):
 def cases(three_param_draws):
     """(group, family, targets) for every frozen fit."""
     out = [("criterion3", s.family, est.targets_from_spec(s)) for s in criterion_3_specs(three_param_draws)]
-    for fam in MULTISTART:
+    for fam in SCANNED:
         specs = [lf.DistributionSpec(fam, p) for p in TABLE_ANCHORS[fam]]
         out += [("anchors", fam, est.targets_from_spec(s)) for s in specs]
     for law, masses in law_samples().items():
         t = est.MomentTargets.from_summary(lf.summarize(lf.MassCatalog(law, masses)))
-        out += [(f"law-{law}", fam, t) for fam in MULTISTART]
+        out += [(f"law-{law}", fam, t) for fam in SCANNED]
     return out
 
 
