@@ -15,10 +15,11 @@ scan of a 1-D defect followed by bisection (:func:`_scan_roots`).  Every
 candidate is judged by the family's own moment forms, relative to the targets.
 
 The three-parameter moment systems are genuinely multi-rooted: distinct
-positive parameter vectors can share their first three moments.  All roots
-found are therefore collected and the reported one is chosen by a fixed
-convention (smallest residual-feasible root by third parameter ``c``, then
-lexicographically), which matches the published fits.
+positive parameter vectors can share their first three moments (at most two
+for ``gld``, one branch in y = w/(a + w)).  All roots found are collected and
+the reported one is chosen by a fixed convention (smallest residual-feasible
+root by third parameter ``c``, then lexicographically), which matches the
+published fits.
 """
 
 from __future__ import annotations
@@ -132,7 +133,8 @@ def estimate_tpld(t: MomentTargets) -> SolveReport:
     product of moments under- or overflows, and (b, c) is rescaled exactly.
     """
     e = math.frexp(t.xbar)[1]
-    xbar, s2 = math.ldexp(t.xbar, -e), math.ldexp(t.s2, -2 * e)
+    # s2 >= xbar^2 is infeasible, and ldexp could overflow on it
+    xbar, s2 = math.ldexp(t.xbar, -e), math.ldexp(t.s2, -2 * e) if t.s2 / t.xbar < t.xbar else math.inf
     radicand = 2.0 * xbar * xbar - 2.0 * s2
     if radicand <= 0:
         raise InfeasibleMomentsError(
@@ -151,7 +153,7 @@ def estimate_tpld(t: MomentTargets) -> SolveReport:
 
 def estimate_lognormal(t: MomentTargets) -> SolveReport:
     """Closed-form median/shape estimates from the mean/variance match."""
-    sigma2 = math.log1p(t.s2 / (t.xbar * t.xbar))
+    sigma2 = math.log1p(t.s2 / t.xbar / t.xbar)   # xbar^2 can underflow where the ratio does not
     sigma = math.sqrt(sigma2)
     m = t.xbar * math.exp(-0.5 * sigma2)
     return _closed_form_report(dist.lognormal(m, sigma), t, 2)
@@ -177,8 +179,6 @@ def _moment_map(family: Family):
     return moments
 
 
-_ONE_BRANCH = np.array([[1.0]])
-_BRANCHES = np.array([[1.0], [-1.0]])   # the two roots of a quadratic, as a column
 # [1e-11, 1 - 1e-11], geometric towards both ends; 1 - x is exact on the upper half
 _HALF = np.geomspace(1e-11, 0.5, 4000)
 _UNIT_GRID = np.unique(np.concatenate([_HALF, 1.0 - _HALF]))
@@ -201,96 +201,93 @@ def _bisect(inside, lo, hi):
     return lo, hi
 
 
-def _scan_roots(g, grid, branches=_ONE_BRANCH):
-    """Candidate roots of a 1-D defect ``g(x, branch)`` on every branch of a reduction.
+def _scan_roots(g, grid):
+    """Candidate roots of a 1-D defect ``g``.
 
-    ``g`` takes points and branches that broadcast and is NaN where it is
+    ``g`` maps an array of points to defects and is NaN where it is
     undefined.  Three kinds of bracket are bisected to one ulp, all at once:
 
     * a sign change between finite neighbours of ``grid``;
-    * a domain edge, where g turns undefined between two grid points (the
-      quadratic's branches meet there, or a parameter reaches 0): the last
-      finite point is found first; a sign change between it and its grid
-      neighbour is a bracket, else the point itself is kept as a candidate;
+    * a domain edge, where g turns undefined between two grid points (a
+      parameter reaches 0): the last finite point is found first; a sign
+      change between it and its grid neighbour is a bracket, else the point
+      itself is kept as a candidate;
     * a dip, a grid point where |g| is a local minimum and both neighbours
-      share its sign (at most 8 per branch, smallest first): the extremum of
-      g over its two cells is found first; if g crosses 0 there, each side is
-      a bracket, else the extremum itself is kept as a tangent root.
+      share its sign (at most 8, smallest first): the extremum of g over its
+      two cells is found first; if g crosses 0 there, each side is a
+      bracket, else the extremum itself is kept as a tangent root.
 
-    Returns ``(x, branch)`` arrays of the candidates.
+    Returns the candidates as one array.
     """
-    vals = np.broadcast_to(g(grid, branches), (len(branches), len(grid)))
+    vals = g(grid)
     finite, pos = np.isfinite(vals), vals > 0
-    rows = np.broadcast_to(branches, vals.shape)   # the branch of every grid value
-    j, i = np.nonzero(finite[:, :-1] & finite[:, 1:] & (pos[:, :-1] != pos[:, 1:]))
-    brackets = [(grid[i], grid[i + 1], rows[j, i])]
+    i = np.nonzero(finite[:-1] & finite[1:] & (pos[:-1] != pos[1:]))[0]
+    brackets = [(grid[i], grid[i + 1])]
 
-    j, i = np.nonzero(finite[:, :-1] != finite[:, 1:])
-    inner, edge_br = np.where(finite[j, i], i, i + 1), rows[j, i]
-    edge, _ = _bisect(lambda x: np.isfinite(g(x, edge_br)), grid[inner], grid[2 * i + 1 - inner])
-    cross = (g(edge, edge_br) > 0) != pos[j, inner]
-    brackets.append((grid[inner][cross], edge[cross], edge_br[cross]))
+    i = np.nonzero(finite[:-1] != finite[1:])[0]
+    inner = np.where(finite[i], i, i + 1)
+    edge, _ = _bisect(lambda x: np.isfinite(g(x)), grid[inner], grid[2 * i + 1 - inner])
+    cross = (g(edge) > 0) != pos[inner]
+    brackets.append((grid[inner][cross], edge[cross]))
 
     mags = np.where(finite, np.abs(vals), math.inf)
-    centre = mags[:, 1:-1]
-    dip = finite[:, :-2] & finite[:, 2:] & (centre <= mags[:, :-2]) & (centre <= mags[:, 2:])
-    dip &= (pos[:, :-2] == pos[:, 1:-1]) & (pos[:, 2:] == pos[:, 1:-1])
-    j, i = np.nonzero(dip)
-    order = np.lexsort((centre[j, i], j))   # by branch, then |g|
-    j, i = j[order], i[order]
-    first = np.arange(j.size) - np.searchsorted(j, j) < 8   # the 8 smallest of each branch
-    j, i = j[first], i[first] + 1
-    dip_br, sign, lo, hi = rows[j, i], np.where(pos[j, i], 1.0, -1.0), grid[i - 1], grid[i + 1]
+    centre = mags[1:-1]
+    dip = finite[:-2] & finite[2:] & (centre <= mags[:-2]) & (centre <= mags[2:])
+    dip &= (pos[:-2] == pos[1:-1]) & (pos[2:] == pos[1:-1])
+    i = np.nonzero(dip)[0]
+    i = i[np.argsort(centre[i], kind="stable")[:8]] + 1   # the 8 smallest
+    sign, lo, hi = np.where(pos[i], 1.0, -1.0), grid[i - 1], grid[i + 1]
     h = 1e-7 * (hi - lo)
     # sign * g still falls left of its minimum
-    peak, _ = _bisect(lambda x: sign * (g(x + h, dip_br) - g(x, dip_br)) < 0, lo, hi)
-    tangent = sign * g(peak, dip_br) > 0
-    crossed = (peak[~tangent], dip_br[~tangent])
-    brackets += [(lo[~tangent], *crossed), (hi[~tangent], *crossed)]
+    peak, _ = _bisect(lambda x: sign * (g(x + h) - g(x)) < 0, lo, hi)
+    tangent = sign * g(peak) > 0
+    brackets += [(lo[~tangent], peak[~tangent]), (hi[~tangent], peak[~tangent])]
 
-    lo, hi, br = (np.concatenate(part) for part in zip(*brackets))
-    lo_pos = g(lo, br) > 0
+    lo, hi = (np.concatenate(part) for part in zip(*brackets))
+    lo_pos = g(lo) > 0
 
     def same_sign(x):
-        gx = g(x, br)
+        gx = g(x)
         return np.isfinite(gx) & ((gx > 0) == lo_pos)
 
-    x = np.concatenate([0.5 * sum(_bisect(same_sign, lo, hi)), edge[~cross], peak[tangent]])
-    return x, np.concatenate([br, edge_br[~cross], dip_br[tangent]])
+    return np.concatenate([0.5 * sum(_bisect(same_sign, lo, hi)), edge[~cross], peak[tangent]])
 
 
 def _gld_candidates(t: MomentTargets) -> np.ndarray:
-    """Candidate generalized-family roots from a scale-free 1-D reduction.
+    """Candidate generalized-family roots from a scale-free 1-D reduction in y = w/(a + w).
 
     With w = c/(c+b), the raw moments satisfy  b*m1 = a + w,
-    b^2*m2 = (a+1)(a+2w)  and  b^3*m3 = (a+1)(a+2)(a+3w); eliminating b
-    leaves a quadratic for a at each w and a single ratio equation in w.
+    b^2*m2 = (a+1)(a+2w)  and  b^3*m3 = (a+1)(a+2)(a+3w).  With k = s2/m1^2
+    the mean and variance give, on 0 < y < min(1, k),
+
+        a = (1 - y^2)/(k + y^2),  b = (1 + y)/((k + y^2) m1),  c = b y(1 + y)/(k - y),
+
+    and the third moment leaves one defect,
+    m3/(m1 m2) = (1 + 2k + y^2)(1 + 2y)/(1 + y)^2.  Its right side falls to a
+    minimum at y* = 4k/(3 + sqrt(9 + 8k)) and rises past it, so there are at
+    most two roots, and at most one when k >= 2 (then y* >= 1).  The scan
+    runs on y = min(1, k) x over the unit grid, where 1 - y and k - y are
+    formed from 1 - x without cancellation; the grid's ends are candidates
+    too, so targets just past an end still report their best defect.
     """
-    m1, m2 = t.xbar, t.s2 + t.xbar * t.xbar
-    # in units of 2^e ~ m1 no product of moments under- or overflows; every ratio is bit-identical
-    e = math.frexp(m1)[1]
-    s1, s2, s3 = (math.ldexp(m, -k * e) for k, m in ((1, m1), (2, m2), (3, t.xbar3)))
-    r2 = s2 / (s1 * s1)
-    r3 = s3 / (s1 * s2)
-    aa = 1.0 - r2
-    if abs(aa) < 1e-300:
+    # ratios of frexp mantissas and exponents: no moment product under- or overflows
+    (f1, e1), (fs, es), (f3, e3) = (math.frexp(m) for m in (t.xbar, t.s2, t.xbar3))
+    k = float(np.ldexp(fs / (f1 * f1), es - 2 * e1))
+    r3 = float(np.ldexp(f3 / (f1 * f1 * f1 * (1.0 + k)), e3 - 3 * e1))
+    if not (0.0 < k < math.inf and r3 < math.inf):
         return np.empty((0, 3))
+    top = min(1.0, k)
 
-    def a_of_w(w, branch):
-        bb = 1.0 + 2.0 * w - 2.0 * r2 * w
-        cc = 2.0 * w - r2 * w * w
-        disc = bb * bb - 4.0 * aa * cc
-        a = (-bb + branch * np.sqrt(np.where(disc < 0, np.nan, disc))) / (2.0 * aa)
-        return np.where(a > 0, a, np.nan)
+    def g(x):
+        y = top * x
+        return (1.0 + 2.0 * k + y * y) * (1.0 + 2.0 * y) / ((1.0 + y) * (1.0 + y)) - r3
 
-    def g(w, branch):
-        a = a_of_w(w, branch)
-        return (a + 2.0) * (a + 3.0 * w) / ((a + w) * (a + 2.0 * w)) - r3
-
-    w, branch = _scan_roots(g, _UNIT_GRID, _BRANCHES)
-    a = a_of_w(w, branch)
-    b = (a + w) / m1
-    return np.column_stack([a, b, b * w / (1.0 - w)])
+    x = np.concatenate([_scan_roots(g, _UNIT_GRID), _UNIT_GRID[[0, -1]]])
+    y, u = top * x, 1.0 - x
+    den = k + y * y
+    b = (1.0 + y) / (den * t.xbar)
+    a = ((1.0 - top) + top * u) * (1.0 + y) / den
+    return np.column_stack([a, b, b * y * (1.0 + y) / ((k - top) + top * u)])
 
 
 def _ngld_candidates(t: MomentTargets) -> np.ndarray:
@@ -313,12 +310,12 @@ def _ngld_candidates(t: MomentTargets) -> np.ndarray:
         u = s2 / (m1 * (1.0 + m1 * x * x))
         return u, m1 * (1.0 + x * u), m1 * (1.0 - x)   # 1/c, a/c, b/c
 
-    def g(x, _branch):
+    def g(x):
         u, alpha, beta = ratios(x)
         third = alpha * (alpha + u) * (alpha + 2.0 * u) + u * beta * (beta + u) * (beta + 2.0 * u)
         return np.where((alpha > 0) & (beta > 0), third / ((1.0 + u) * m3) - 1.0, np.nan)
 
-    u, alpha, beta = ratios(_scan_roots(g, grid)[0])
+    u, alpha, beta = ratios(_scan_roots(g, grid))
     return np.column_stack([alpha / u, beta / u, 1.0 / u])
 
 
@@ -339,10 +336,10 @@ def _nwl_candidates(t: MomentTargets) -> np.ndarray:
         root = np.hypot(k, np.sqrt(8.0 * m1 * (1.0 + v + v * v)))
         return (root - k) / (2.0 * m1) if m1 < 1.0 else 4.0 * (1.0 + v + v * v) / (k + root)
 
-    def g(v, _branch):
+    def g(v):
         return dist._raw_moment_nwl(2, (1.0 - v) / v, c_of(v)) / m2 - 1.0
 
-    v, _ = _scan_roots(g, _UNIT_GRID)
+    v = _scan_roots(g, _UNIT_GRID)
     return np.column_stack([(1.0 - v) / v, c_of(v)])
 
 
@@ -368,13 +365,13 @@ def _pld_candidates(t: MomentTargets) -> np.ndarray:
             L = L + (lg - log_m1 - s * L + np.log1p(s / (b + 1.0))) / slope
         return L
 
-    def g(s, _branch):
+    def g(s):
         L = log_b(s)
         b = np.exp(L)
         defect = special.gammaln(1.0 + 2.0 * s) - 2.0 * s * L + np.log1p(2.0 * s / (b + 1.0)) - log_m2
         return np.where((b > 0) & (b < math.inf), defect, np.nan)
 
-    s, _ = _scan_roots(g, _PLD_S_GRID)
+    s = _scan_roots(g, _PLD_S_GRID)
     return np.column_stack([np.exp(log_b(s)), 1.0 / s])
 
 
@@ -392,8 +389,8 @@ def _collect_roots(params, raw, rel):
     for p, r, res in zip(params, raw, rel):
         if not res <= NEWTON_TOL:
             continue
-        # one root can arrive twice (both sides of a dip that touches 0, an
-        # edge shared by two branches); keep the sharpest representative
+        # one root can arrive twice (both sides of a dip that touches 0, or a
+        # grid end next to a root); keep the sharpest representative
         for i, q in enumerate(roots):
             if np.allclose(p, q[0], rtol=1e-6, atol=0.0):
                 if res < q[-1]:
@@ -427,7 +424,7 @@ def _moment_roots(family: Family, t: MomentTargets):
     reductions match raw moments, so the variance is judged on the scale of
     the second raw moment.
     """
-    # overflow, domain errors and negative discriminants become NaN defects, which the scan skips
+    # overflow and domain errors become NaN defects, which the scan skips
     with np.errstate(all="ignore"):
         params = _CANDIDATES[family](t)
         params = params[np.isfinite(params).all(axis=1) & (params > 0).all(axis=1)]
@@ -473,8 +470,8 @@ def estimate_dtl(t: MomentTargets) -> SolveReport:
     from z = 1e-300 (where E[T] is its z = 0 value to the last bit) up to the
     cut, and c = z/w.
     """
-    if not (0 <= t.x_min < t.x_max):
-        raise InfeasibleMomentsError(f"need 0 <= x_min < x_max, got x_min={t.x_min}, x_max={t.x_max}")
+    if not (0 <= t.x_min < t.x_max < math.inf):
+        raise InfeasibleMomentsError(f"need 0 <= x_min < x_max < inf, got x_min={t.x_min}, x_max={t.x_max}")
     x_l, x_u, xbar = t.x_min, t.x_max, t.xbar
     a, w = 1.0 + x_l, x_u - x_l
     tau = (xbar - x_l) / w

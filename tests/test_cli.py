@@ -1,10 +1,17 @@
 import json
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lindleyfit as lf
+from conftest import checkout_env
 from lindleyfit import cli
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def run(capsys, *argv):
@@ -268,3 +275,27 @@ class TestPlotdata:
         code, _, err = run(capsys, "plotdata", "--input", str(synth_csv),
                            "--family", "lindley1", "--out", "")
         assert code == 2
+
+
+class TestScripts:
+    """The two scripts the README documents, in a fresh interpreter where every warning is an error."""
+
+    @staticmethod
+    def run_script(name, *args):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", str(SCRIPTS / name), *args],
+            capture_output=True, text=True, env=checkout_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        # one table row per family, named in its first column
+        rows = Counter(line.split()[0] for line in proc.stdout.splitlines() if line.strip())
+        assert all(rows[f.value] == 1 for f in lf.Family), proc.stdout
+
+    def test_fit_catalogs(self, synth_csv, tmp_path):
+        out = tmp_path / "reports"
+        self.run_script("fit_catalogs.py", str(synth_csv.parent), "--out", str(out))
+        fits = json.loads((out / "synth_fits.json").read_text())["fits"]
+        assert sorted(f["family"] for f in fits) == sorted(f.value for f in lf.Family)
+
+    def test_synth_roundtrip(self):
+        self.run_script("synth_roundtrip.py", "--n", "500", "--seed", "3")

@@ -166,16 +166,15 @@ def test_scan_roots_returns_one_candidate_per_bracket_and_tangent_dip():
     # on the grid 0, 1, ..., 10 this defect has a sign change in [1, 2], two
     # roots inside [4, 5] (a dip at 4 that crosses), a double root at 7.3 (a
     # dip at 7 that only touches) and a root in [9, 9.5], past which it is NaN
-    def g(x, _branch):
+    def g(x):
         poly = (1.5 - x) * (x - 4.2) * (x - 4.6) * (x - 7.3) ** 2 * (9.3 - x)
         return np.where(x <= 9.5, poly, np.nan)
 
-    x, branch = est._scan_roots(g, np.linspace(0.0, 10.0, 11))
+    x = est._scan_roots(g, np.linspace(0.0, 10.0, 11))
     # sign changes, the edge bracket and both sides of the crossing dip are
     # bisected to one ulp; the tangent root is the dip's located minimum
     np.testing.assert_allclose(x[:4], [1.5, 9.3, 4.2, 4.6], rtol=1e-15, atol=0.0)
     assert x.size == 5 and x[4] == pytest.approx(7.3, abs=1e-6)
-    np.testing.assert_array_equal(branch, np.ones(5))
 
 
 class TestTwoParam:
@@ -217,7 +216,7 @@ class TestTwoParam:
     @pytest.mark.parametrize("family", [Family.PLD, Family.NWL])
     def test_scan_without_candidates_says_so(self, monkeypatch, family):
         # the same message and best_residual as the three-parameter families
-        monkeypatch.setattr(est, "_scan_roots", lambda *args: (np.empty(0), np.empty(0)))
+        monkeypatch.setattr(est, "_scan_roots", lambda *args: np.empty(0))
         with pytest.raises(EstimationError, match="seed scan found no candidate") as err:
             est.estimate(family, targets(1.0, 0.5))
         assert err.value.best_residual is None
@@ -357,11 +356,28 @@ class TestThreeParam:
             k = 10.0**j
             np.testing.assert_allclose(fit(k), unit / np.array([1.0, k, k]), rtol=1e-12, err_msg=f"x1e{j}")
 
-    def test_empty_gld_scan_says_so(self):
-        # s2 / xbar^2 = 1e-17 rounds r2 = m2 / m1^2 to 1, which leaves the scan nothing
-        with pytest.raises(EstimationError, match="seed scan found no candidate") as err:
-            est.estimate(Family.GLD, targets(1.0, 1e-17, 1.0))
-        assert err.value.best_residual is None
+    def test_gld_fits_a_near_constant_sample_as_its_gamma_limit(self):
+        # s2 / xbar^2 = 1e-17 is below one ulp of m2 / m1^2, so k = s2 / m1^2 must
+        # be read from s2 itself; the fit is the gamma limit Gamma(1e17, rate 1e17)
+        r = est.estimate(Family.GLD, targets(1.0, 1e-17, 1.0))
+        a, b, _ = r.spec.params
+        assert (a, b) == pytest.approx((1e17, 1e17), rel=1e-12)
+        np.testing.assert_array_equal(r.residuals, 0.0)
+
+    def test_gld_has_at_most_two_roots_and_one_past_k_2(self):
+        # m3/(m1 m2) = (1 + 2k + y^2)(1 + 2y)/(1 + y)^2 on 0 < y < min(1, k) falls to
+        # its minimum at y* = 4k/(3 + sqrt(9 + 8k)) and rises past it; y* >= 1 once k >= 2
+        fixture = json.loads((Path(__file__).parent / "data" / "root_selection.json").read_text())
+        ts = [est.MomentTargets(**e["targets"]) for e in fixture["entries"] if e["family"] == "gld"]
+        ranges = np.log([(0.05, 50.0)] * 3).T
+        for p in np.exp(np.random.default_rng(2).uniform(*ranges, size=(300, 3))):
+            ts.append(est.targets_from_spec(lf.gld(*p)))
+        sizes = set()
+        for t in ts:
+            roots, _ = est._moment_roots(Family.GLD, t)
+            assert len(roots) <= (1 if t.s2 / t.xbar**2 >= 2.0 else 2), t
+            sizes.add(len(roots))
+        assert {1, 2} <= sizes
 
     def test_gld_near_miss_reports_its_relative_defect(self):
         # an exact root's targets with m3 off by 1e-9: no candidate is within NEWTON_TOL
@@ -390,6 +406,11 @@ class TestDtl:
         c, x_l, x_u = r.spec.params
         assert c == pytest.approx(2.71, abs=1e-6)
         assert (x_l, x_u) == (0.019, 1.46)
+
+    def test_unbounded_window_is_infeasible(self):
+        # the default x_max is inf, where the window width and the mean defect are NaN
+        with pytest.raises(InfeasibleMomentsError, match="x_max < inf"):
+            est.estimate(Family.DTL, targets(1.0, 1.0, 3.0))
 
     def test_midpoint_attainability(self):
         x_l, x_u = 0.2, 2.5
@@ -531,6 +552,18 @@ def test_closed_forms_converge_relative_to_the_targets(family, scale):
     # both are scale families: tpld's (b, c) scale as (k, 1/k), lognormal's (m, sigma) as (k, 1)
     per_unit = [scale, 1.0 / scale] if family is Family.TPLD else [scale, 1.0]
     np.testing.assert_allclose(r.spec.params, np.array(fit(1.0)[1].spec.params) * per_unit, rtol=1e-12)
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+@pytest.mark.parametrize("moments", [(1e-100, 1e100, 1e120), (1e-200, 1e100, 1e150), (1.0, 1.0, 3.0)], ids=str)
+def test_extreme_targets_end_in_report_or_typed_error(family, moments):
+    # relative variances past the doubles, and dtl's default x_max = inf; the
+    # suite's warning filter makes a leaked RuntimeWarning an error
+    try:
+        r = est.estimate(family, targets(*moments))
+    except LindleyFitError:
+        return
+    assert isinstance(r, est.SolveReport)
 
 
 class TestDispatch:
