@@ -657,8 +657,15 @@ def _mean_variance_dtl(c, x_l, x_u):
 
 
 def _mean_variance_lognormal(m, sigma):
-    e = np.exp(sigma * sigma)   # overflows to inf where math.exp raises, so the mean survives
-    return m * math.exp(0.5 * sigma * sigma), e * np.expm1(sigma * sigma) * m * m
+    # the variance mu^2 expm1(s2), formed as mu (mu expm1(s2)) while expm1(s2) is a
+    # double and as r (r (1 - e^-s2)) with r = m e^s2 past it: no intermediate
+    # leaves the doubles where the variance is one
+    s2 = sigma * sigma
+    mu = m * math.exp(0.5 * s2)
+    if s2 < 709.0:
+        return mu, mu * (mu * math.expm1(s2))
+    r = np.exp(math.log(m) + s2)   # overflows to inf where math.exp raises, so the mean survives
+    return mu, r * (r * -math.expm1(-s2))
 
 
 _MEAN_VARIANCE = {

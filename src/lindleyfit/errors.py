@@ -27,7 +27,8 @@ class EstimationError(LindleyFitError, RuntimeError):
     Attributes
     ----------
     best_residual:
-        The smallest relative defect of any scan candidate, or for ``dtl`` the
+        The smallest relative defect of any root candidate or probe of the
+        family's 1-D reduction (its domain ends and cuts), or for ``dtl`` the
         distance from the mean to its attainable interval; None if there is none.
     """
 

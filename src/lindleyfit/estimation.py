@@ -10,13 +10,16 @@ its variance defect, each relative to its target.
 The power / new-weighted families match {mean = xbar, variance = s2} and the
 generalized / new-generalized families add the third raw moment.  Each of
 those four systems reduces exactly to one unknown, with the other parameters
-in closed form, so :func:`_estimate_scanned` solves each by one vectorised
-scan of a 1-D defect followed by bisection (:func:`_scan_roots`).  Every
-candidate is judged by the family's own moment forms, relative to the targets.
+in closed form, and three of the four reductions are polynomials (degree 3,
+6 and 7 for ``gld``, ``nwl`` and ``ngld``).  :func:`_estimate_reduced` cuts
+the unknown's domain at the polynomial's extrema, so that each piece holds
+at most one root, and bisects every piece whose ends differ in sign
+(:func:`_cut_roots`); ``pld`` needs no cut.  Every root is judged by the
+family's own moment forms, relative to the targets.
 
 The three-parameter moment systems are genuinely multi-rooted: distinct
 positive parameter vectors can share their first three moments (at most two
-for ``gld``, one branch in y = w/(a + w)).  All roots found are collected and
+for ``gld`` and seven for ``ngld``).  All roots found are collected and
 the reported one is chosen by a fixed convention (smallest residual-feasible
 root by third parameter ``c``, then lexicographically), which matches the
 published fits.
@@ -27,8 +30,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import Polynomial, polynomial
 from scipy import special
 
 from . import distributions as dist
@@ -179,19 +184,19 @@ def _moment_map(family: Family):
     return moments
 
 
-# [1e-11, 1 - 1e-11], geometric towards both ends; 1 - x is exact on the upper half
-_HALF = np.geomspace(1e-11, 0.5, 4000)
-_UNIT_GRID = np.unique(np.concatenate([_HALF, 1.0 - _HALF]))
-_PLD_S_GRID = np.geomspace(1e-11, 1e2, 4000)   # s = 1/c
+# [1e-11, 1 - 1e-11]: the ends of the unit domains in v and in y/min(1, k); 1 - x is exact near the upper one
+_UNIT_ENDS = (1e-11, 1.0 - 1e-11)
+_X = Polynomial([Fraction(0), Fraction(1)])   # the monomial, with exact coefficients
 
 
 def _bisect(inside, lo, hi):
     """Halve every bracket [lo, hi] (in either order), keeping ``inside(lo)`` and not ``inside(hi)``.
 
     ``inside`` maps an array of points, one per bracket, to booleans.  A
-    bracket stops once it is one ulp wide.  Returns the final ``(lo, hi)``.
+    bracket stops once it is one ulp wide, which any bracket of doubles is
+    after at most 2100 halvings.  Returns the final ``(lo, hi)``.
     """
-    for _ in range(100):
+    for _ in range(2100):
         mid = 0.5 * (lo + hi)
         live = (mid != lo) & (mid != hi)
         if not live.any():
@@ -201,60 +206,44 @@ def _bisect(inside, lo, hi):
     return lo, hi
 
 
-def _scan_roots(g, grid):
-    """Candidate roots of a 1-D defect ``g``.
+def _real_roots(coef):
+    """Sorted real roots of the polynomial with exact ascending coefficients ``coef``.
 
-    ``g`` maps an array of points to defects and is NaN where it is
-    undefined.  Three kinds of bracket are bisected to one ulp, all at once:
-
-    * a sign change between finite neighbours of ``grid``;
-    * a domain edge, where g turns undefined between two grid points (a
-      parameter reaches 0): the last finite point is found first; a sign
-      change between it and its grid neighbour is a bracket, else the point
-      itself is kept as a candidate;
-    * a dip, a grid point where |g| is a local minimum and both neighbours
-      share its sign (at most 8, smallest first): the extremum of g over its
-      two cells is found first; if g crosses 0 there, each side is a
-      bracket, else the extremum itself is kept as a tangent root.
-
-    Returns the candidates as one array.
+    The coefficients are scaled by one power of two, which puts the largest
+    near 1, before they are rounded to doubles, so no product of moments
+    over- or underflows; leading ones that fall below the normal doubles are
+    dropped.  The roots are the companion matrix's real eigenvalues.
     """
-    vals = g(grid)
-    finite, pos = np.isfinite(vals), vals > 0
-    i = np.nonzero(finite[:-1] & finite[1:] & (pos[:-1] != pos[1:]))[0]
-    brackets = [(grid[i], grid[i + 1])]
-
-    i = np.nonzero(finite[:-1] != finite[1:])[0]
-    inner = np.where(finite[i], i, i + 1)
-    edge, _ = _bisect(lambda x: np.isfinite(g(x)), grid[inner], grid[2 * i + 1 - inner])
-    cross = (g(edge) > 0) != pos[inner]
-    brackets.append((grid[inner][cross], edge[cross]))
-
-    mags = np.where(finite, np.abs(vals), math.inf)
-    centre = mags[1:-1]
-    dip = finite[:-2] & finite[2:] & (centre <= mags[:-2]) & (centre <= mags[2:])
-    dip &= (pos[:-2] == pos[1:-1]) & (pos[2:] == pos[1:-1])
-    i = np.nonzero(dip)[0]
-    i = i[np.argsort(centre[i], kind="stable")[:8]] + 1   # the 8 smallest
-    sign, lo, hi = np.where(pos[i], 1.0, -1.0), grid[i - 1], grid[i + 1]
-    h = 1e-7 * (hi - lo)
-    # sign * g still falls left of its minimum
-    peak, _ = _bisect(lambda x: sign * (g(x + h) - g(x)) < 0, lo, hi)
-    tangent = sign * g(peak) > 0
-    brackets += [(lo[~tangent], peak[~tangent]), (hi[~tangent], peak[~tangent])]
-
-    lo, hi = (np.concatenate(part) for part in zip(*brackets))
-    lo_pos = g(lo) > 0
-
-    def same_sign(x):
-        gx = g(x)
-        return np.isfinite(gx) & ((gx > 0) == lo_pos)
-
-    return np.concatenate([0.5 * sum(_bisect(same_sign, lo, hi)), edge[~cross], peak[tangent]])
+    e = max(c.numerator.bit_length() - c.denominator.bit_length() for c in coef if c)
+    c = np.array([float(v * Fraction(2) ** -e) for v in coef])
+    c = c[: np.nonzero(np.abs(c) >= np.finfo(float).tiny)[0][-1] + 1]
+    z = polynomial.polyroots(c)
+    return np.sort(z.real[z.imag == 0])
 
 
-def _gld_candidates(t: MomentTargets) -> np.ndarray:
-    """Candidate generalized-family roots from a scale-free 1-D reduction in y = w/(a + w).
+def _cut_roots(g, lo, hi, cuts=()):
+    """Roots of a 1-D defect ``g`` on [lo, hi], whose ``cuts`` leave at most one root in each piece.
+
+    The cuts include every extremum of the polynomial the defect reduces to;
+    those outside (lo, hi) are dropped.  A piece whose ends differ in sign
+    (NaN counts as negative) is bisected to one ulp; a cut with no sign
+    change on either side is a tangent root.  Returns every bisected root,
+    then every point, and a boolean array that marks the roots: the ends and
+    the other cuts are probes, which only report their defect.
+    """
+    cuts = np.sort(np.asarray(cuts, dtype=float))
+    x = np.concatenate([[lo], cuts[(cuts > lo) & (cuts < hi)], [hi]])
+    pos = g(x) > 0
+    change = pos[:-1] != pos[1:]
+    lo_pos = pos[:-1][change]
+    roots = 0.5 * sum(_bisect(lambda m: (g(m) > 0) == lo_pos, x[:-1][change], x[1:][change]))
+    tangent = np.zeros(x.size, dtype=bool)
+    tangent[1:-1] = ~change[:-1] & ~change[1:]
+    return np.concatenate([roots, x]), np.concatenate([np.ones(roots.size, dtype=bool), tangent])
+
+
+def _gld_candidates(t: MomentTargets):
+    """Generalized-family roots from a scale-free 1-D reduction in y = w/(a + w).
 
     With w = c/(c+b), the raw moments satisfy  b*m1 = a + w,
     b^2*m2 = (a+1)(a+2w)  and  b^3*m3 = (a+1)(a+2)(a+3w).  With k = s2/m1^2
@@ -265,68 +254,82 @@ def _gld_candidates(t: MomentTargets) -> np.ndarray:
     and the third moment leaves one defect,
     m3/(m1 m2) = (1 + 2k + y^2)(1 + 2y)/(1 + y)^2.  Its right side falls to a
     minimum at y* = 4k/(3 + sqrt(9 + 8k)) and rises past it, so there are at
-    most two roots, and at most one when k >= 2 (then y* >= 1).  The scan
-    runs on y = min(1, k) x over the unit grid, where 1 - y and k - y are
-    formed from 1 - x without cancellation; the grid's ends are candidates
-    too, so targets just past an end still report their best defect.
+    most two roots, and at most one when k >= 2 (then y* >= 1); y* is the one
+    cut.  The solve runs on y = min(1, k) x, where 1 - y and k - y are formed
+    from 1 - x without cancellation.
     """
     # ratios of frexp mantissas and exponents: no moment product under- or overflows
     (f1, e1), (fs, es), (f3, e3) = (math.frexp(m) for m in (t.xbar, t.s2, t.xbar3))
     k = float(np.ldexp(fs / (f1 * f1), es - 2 * e1))
     r3 = float(np.ldexp(f3 / (f1 * f1 * f1 * (1.0 + k)), e3 - 3 * e1))
     if not (0.0 < k < math.inf and r3 < math.inf):
-        return np.empty((0, 3))
+        return np.empty((0, 3)), np.empty(0, dtype=bool)
     top = min(1.0, k)
 
     def g(x):
         y = top * x
         return (1.0 + 2.0 * k + y * y) * (1.0 + 2.0 * y) / ((1.0 + y) * (1.0 + y)) - r3
 
-    x = np.concatenate([_scan_roots(g, _UNIT_GRID), _UNIT_GRID[[0, -1]]])
+    x, root = _cut_roots(g, *_UNIT_ENDS, [4.0 * k / (3.0 + math.sqrt(9.0 + 8.0 * k)) / top])
     y, u = top * x, 1.0 - x
     den = k + y * y
     b = (1.0 + y) / (den * t.xbar)
     a = ((1.0 - top) + top * u) * (1.0 + y) / den
-    return np.column_stack([a, b, b * y * (1.0 + y) / ((k - top) + top * u)])
+    return np.column_stack([a, b, b * y * (1.0 + y) / ((k - top) + top * u)]), root
 
 
-def _ngld_candidates(t: MomentTargets) -> np.ndarray:
-    """Candidate new-generalized-family roots from a 1-D scan in d = a - c m1.
+def _ngld_candidates(t: MomentTargets):
+    """New-generalized-family roots from a 1-D reduction in x = d/m1, d = a - c m1.
 
     The mean gives b = c (m1 - d) and the variance c = (m1 + d^2)/s2, so every
     d < m1 fixes the whole vector.  In c these are two branches that meet at
-    the fold c = m1/s2 (d = 0), and the d > 0 one lives only on
-    c < (m1 + m1^2)/s2, which can be narrower than any c grid cell; in d they
-    are one.  The third moment, c a(a+1)(a+2) + b(b+1)(b+2) = (1+c) c^3 m3, is
-    the 1-D defect, written in u = 1/c, a/c and b/c so that no product of
-    moments overflows.  The grid in x = d/m1 is geometric towards 0 and 1 and
-    reaches c = 1e11 below 0.
+    the fold c = m1/s2 (d = 0); in d they are one.  The third moment,
+    c a(a+1)(a+2) + b(b+1)(b+2) = (1+c) c^3 m3, is the 1-D defect, written in
+    u = 1/c, a/c and b/c so that no product of moments overflows.  With
+    q = 1 + m1 x^2, sigma = s2/m1, A = m1 q + s2 x = a q/c and B = m1 (1 - x),
+    the defect is P(x)/(m3 q^2 (q + sigma)), where
+
+        P = A(A + sigma)(A + 2 sigma) + sigma B(Bq + sigma)(Bq + 2 sigma) - m3 q^2 (q + sigma)
+
+    has degree 7, so there are at most seven roots.  The cuts are the real
+    roots of P' and of A (where a = 0), the lower end is Fujiwara's bound on
+    the roots of P, and the upper end is 1 - 1e-11 (b/c = 1e-11 m1).
     """
     m1, s2, m3 = t.xbar, t.s2, t.xbar3
-    top = min(math.sqrt(max(1e11 * s2 / m1 - 1.0, 0.0) / m1), 1e300)
-    grid = np.concatenate([-np.geomspace(top, 1e-11, 4000) if top > 1e-11 else [], _UNIT_GRID])
 
     def ratios(x):
         u = s2 / (m1 * (1.0 + m1 * x * x))
         return u, m1 * (1.0 + x * u), m1 * (1.0 - x)   # 1/c, a/c, b/c
 
     def g(x):
+        # not masked where a <= 0: its sign is P's everywhere
         u, alpha, beta = ratios(x)
         third = alpha * (alpha + u) * (alpha + 2.0 * u) + u * beta * (beta + u) * (beta + 2.0 * u)
-        return np.where((alpha > 0) & (beta > 0), third / ((1.0 + u) * m3) - 1.0, np.nan)
+        return third / ((1.0 + u) * m3) - 1.0
 
-    u, alpha, beta = ratios(_scan_roots(g, grid))
-    return np.column_stack([alpha / u, beta / u, 1.0 / u])
+    f1, fs, f3 = Fraction(m1), Fraction(s2), Fraction(m3)
+    sigma, q = fs / f1, 1 + f1 * _X**2
+    a, b = f1 * q + fs * _X, f1 * (1 - _X)
+    p = a * (a + sigma) * (a + 2 * sigma) + sigma * b * (b * q + sigma) * (b * q + 2 * sigma) - f3 * q**2 * (q + sigma)
+    lg = [math.log2(abs(c.numerator)) - math.log2(c.denominator) if c else -math.inf for c in p.coef]
+    bound = 2.0 ** min(1.0 + max((lg[i] - lg[-1]) / (len(lg) - 1 - i) for i in range(len(lg) - 1)), 1000.0)
+    cuts = np.concatenate([_real_roots(polynomial.polyder(p.coef)), _real_roots(a.coef)])
+    x, root = _cut_roots(g, -bound, _UNIT_ENDS[1], cuts)
+    u, alpha, beta = ratios(x)
+    return np.column_stack([alpha / u, beta / u, 1.0 / u]), root
 
 
-def _nwl_candidates(t: MomentTargets) -> np.ndarray:
-    """Candidate new-weighted roots from a 1-D scan in v = 1/(1+b).
+def _nwl_candidates(t: MomentTargets):
+    """New-weighted roots from a 1-D reduction in v = 1/(1+b).
 
     With G_j = 1 + v + ... + v^j the raw moments are
     m_r = r! (c G_r + (r+1) G_{r+1}) / (c^r (c + G_1)).  The mean fixes c as
     the positive root of m1 c^2 + (m1 - 1) G_1 c - 2 G_2 = 0, written without
     cancellation on either side of m1 = 1, and m2(c, v)/m2 - 1 is the 1-D
-    defect.
+    defect.  Reducing the m2 cubic in c by that quadratic gives c = beta/alpha
+    with alpha = 2 m1 (m2 - m1) G_2 - m2 (m1 - 1) G_1^2 and
+    beta = 6 m1^2 G_3 - 2 m2 G_1 G_2, so every root is one of the sextic
+    m1 beta^2 + (m1 - 1) G_1 alpha beta - 2 G_2 alpha^2, whose extrema are the cuts.
     """
     m1 = t.xbar
     m2 = t.s2 + m1 * m1
@@ -339,19 +342,27 @@ def _nwl_candidates(t: MomentTargets) -> np.ndarray:
     def g(v):
         return dist._raw_moment_nwl(2, (1.0 - v) / v, c_of(v)) / m2 - 1.0
 
-    v = _scan_roots(g, _UNIT_GRID)
-    return np.column_stack([(1.0 - v) / v, c_of(v)])
+    f1 = Fraction(m1)
+    f2 = Fraction(t.s2) + f1 * f1
+    g1, g2 = 1 + _X, 1 + _X + _X**2
+    alpha = 2 * f1 * (f2 - f1) * g2 - f2 * (f1 - 1) * g1**2
+    beta = 6 * f1 * f1 * (g2 + _X**3) - 2 * f2 * g1 * g2
+    sextic = f1 * beta**2 + (f1 - 1) * g1 * alpha * beta - 2 * g2 * alpha**2
+    v, root = _cut_roots(g, *_UNIT_ENDS, _real_roots(polynomial.polyder(sextic.coef)))
+    return np.column_stack([(1.0 - v) / v, c_of(v)]), root
 
 
-def _pld_candidates(t: MomentTargets) -> np.ndarray:
-    """Candidate power-family roots from a 1-D scan in s = 1/c.
+def _pld_candidates(t: MomentTargets):
+    """The power-family root from one bisection in ln s, s = 1/c.
 
     The raw moments are m_r = b^(-rs) Gamma(1 + rs) (b + 1 + rs)/(b + 1).  At
     each s the mean fixes L = ln b: -s L + log1p(s/(b+1)) = ln m1 - lnGamma(1+s)
     falls strictly in L, by between s and 1.25 s per unit, and its root lies
     within log1p(s)/s <= 1 above L0 = (lnGamma(1+s) - ln m1)/s, so four Newton
     steps from L0 reach it.  The second moment's log defect
-    -2s L + lnGamma(1+2s) + log1p(2s/(b+1)) - ln m2 is the 1-D defect.
+    -2s L + lnGamma(1+2s) + log1p(2s/(b+1)) - ln m2 is the 1-D defect.  On
+    1e-11 <= s <= 100 it is NaN (b past the doubles), then negative, then
+    positive, so one bisection finds the one root.
     """
     log_m1 = math.log(t.xbar)
     log_m2 = 2.0 * log_m1 + math.log1p(t.s2 / t.xbar / t.xbar)
@@ -365,14 +376,16 @@ def _pld_candidates(t: MomentTargets) -> np.ndarray:
             L = L + (lg - log_m1 - s * L + np.log1p(s / (b + 1.0))) / slope
         return L
 
-    def g(s):
+    def g(log_s):
+        s = np.exp(log_s)
         L = log_b(s)
         b = np.exp(L)
         defect = special.gammaln(1.0 + 2.0 * s) - 2.0 * s * L + np.log1p(2.0 * s / (b + 1.0)) - log_m2
         return np.where((b > 0) & (b < math.inf), defect, np.nan)
 
-    s = _scan_roots(g, _PLD_S_GRID)
-    return np.column_stack([np.exp(log_b(s)), 1.0 / s])
+    log_s, root = _cut_roots(g, math.log(1e-11), math.log(1e2))
+    s = np.exp(log_s)
+    return np.column_stack([np.exp(log_b(s)), 1.0 / s]), root
 
 
 _CANDIDATES = {
@@ -381,24 +394,6 @@ _CANDIDATES = {
     Family.GLD: _gld_candidates,
     Family.NGLD: _ngld_candidates,
 }
-
-
-def _collect_roots(params, raw, rel):
-    """Distinct candidates within NEWTON_TOL as (params, raw defects, relative defect), and the best defect."""
-    roots = []
-    for p, r, res in zip(params, raw, rel):
-        if not res <= NEWTON_TOL:
-            continue
-        # one root can arrive twice (both sides of a dip that touches 0, or a
-        # grid end next to a root); keep the sharpest representative
-        for i, q in enumerate(roots):
-            if np.allclose(p, q[0], rtol=1e-6, atol=0.0):
-                if res < q[-1]:
-                    roots[i] = (p, r, res)
-                break
-        else:
-            roots.append((p, r, res))
-    return roots, float(np.min(rel[np.isfinite(rel)], initial=math.inf))
 
 
 def _select_root(roots):
@@ -416,34 +411,36 @@ def _select_root(roots):
 
 
 def _moment_roots(family: Family, t: MomentTargets):
-    """Distinct roots of the family's moment system, and the smallest relative defect of any candidate.
+    """Roots of the family's moment system within NEWTON_TOL, and the smallest relative defect of any candidate.
 
-    Every candidate of the family's 1-D reduction is evaluated with the
+    Every root and probe of the family's 1-D reduction is evaluated with the
     family's own moment forms.  Its defects on the mean, the variance and the
     third raw moment are taken relative to (xbar, s2 + xbar^2, xbar3): the
     reductions match raw moments, so the variance is judged on the scale of
-    the second raw moment.
+    the second raw moment.  Each root comes as (params, raw defects, relative defect).
     """
-    # overflow and domain errors become NaN defects, which the scan skips
+    # overflow and domain errors become NaN defects, which no pick reads
     with np.errstate(all="ignore"):
-        params = _CANDIDATES[family](t)
-        params = params[np.isfinite(params).all(axis=1) & (params > 0).all(axis=1)]
+        params, root = _CANDIDATES[family](t)
+        ok = np.isfinite(params).all(axis=1) & (params > 0).all(axis=1)
+        params, root = params[ok], root[ok]
         k = params.shape[1]
         raw = _moment_map(family)(params) - np.array([t.xbar, t.s2, t.xbar3])[:k]
         rel = np.abs(raw / np.array([t.xbar, t.s2 + t.xbar * t.xbar, t.xbar3])[:k]).max(axis=1)
-    return _collect_roots(params, raw, rel)
+    roots = [(p, r, res) for p, r, res in zip(params[root], raw[root], rel[root]) if res <= NEWTON_TOL]
+    return roots, float(np.min(rel[np.isfinite(rel)], initial=math.inf))
 
 
-def _estimate_scanned(family: Family, t: MomentTargets) -> SolveReport:
-    """Solve a scanned family's moment system and report the root :func:`_select_root` picks.
+def _estimate_reduced(family: Family, t: MomentTargets) -> SolveReport:
+    """Solve a family's reduced moment system and report the root :func:`_select_root` picks.
 
-    Raises EstimationError when no candidate has a finite defect, or none is
-    within NEWTON_TOL.
+    Raises EstimationError when no root or probe has a finite defect, or no
+    root is within NEWTON_TOL.
     """
     roots, best_residual = _moment_roots(family, t)
     if best_residual == math.inf:
         raise EstimationError(
-            f"{family.value} moment solve failed: the seed scan found no candidate root with a finite defect",
+            f"{family.value} moment solve failed: no root or probe of its 1-D reduction has a finite defect",
             best_residual=None,
         )
     if not roots:
@@ -498,7 +495,7 @@ _ESTIMATORS = {
     Family.TPLD: estimate_tpld,
     Family.DTL: estimate_dtl,
     Family.LOGNORMAL: estimate_lognormal,
-    **{family: functools.partial(_estimate_scanned, family) for family in _CANDIDATES},
+    **{family: functools.partial(_estimate_reduced, family) for family in _CANDIDATES},
 }
 
 

@@ -190,6 +190,13 @@ def dtl_mean_root(xbar, x_l, x_u, c0):
         return float(mpmath.findroot(defect, mpmath.mpf(c0), tol=mpmath.mpf(10) ** -36))
 
 
+def lognormal_variance_exact(m, sigma):
+    """lognormal variance m^2 e^(sigma^2) (e^(sigma^2) - 1) at 40 digits, as an mpf (it may lie past the doubles)."""
+    with mpmath.workdps(40):
+        s2 = mpmath.mpf(sigma) ** 2
+        return +(mpmath.mpf(m) ** 2 * mpmath.exp(s2) * mpmath.expm1(s2))
+
+
 def pld_variance_exact(b, c):
     """pld variance m2 - mu^2 at 60 digits, from m_r = b^(-rs) Gamma(1 + rs) (b + 1 + rs)/(b + 1), s = 1/c.
 

@@ -332,6 +332,16 @@ class TestTextbookFormCrossChecks:
         for c, g in zip(cs, got):
             assert g == pytest.approx(ref.pld_variance_exact(b, c), rel=1e-12, abs=0.0), c
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m", [1e-300, 1e-250, 1e-100, 1e-3, 1.0, 1e3, 1e100, 1e250])
+    def test_lognormal_variance_against_mpmath(self, m):
+        # e^(s2) expm1(s2) m m overflowed before the m m: at m = 1e-250, sigma =
+        # 26.28 that product is 1e600, where the variance is 1e100
+        for sigma in [1e-8, 1e-3, 0.5, 1.0, 3.0, 10.0, 20.0, 26.28, 26.7, 30.0, 37.0]:
+            exact = ref.lognormal_variance_exact(m, sigma)
+            if 1e-300 <= exact <= 1e308:
+                assert lf.variance(lf.lognormal(m, sigma)) == pytest.approx(float(exact), rel=1e-12, abs=0.0), sigma
+
     def test_pld_mean_form(self):
         for b, c in [(2.66, 2.28), (1.0, 1.0), (0.6, 0.8)]:
             assert lf.mean(lf.pld(b, c)) == pytest.approx(ref.pld_mean(b, c), rel=1e-12)
