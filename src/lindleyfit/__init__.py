@@ -30,10 +30,6 @@ from .estimation import (
     MomentTargets,
     SolveReport,
     estimate,
-    estimate_dtl,
-    estimate_lindley1,
-    estimate_lognormal,
-    estimate_tpld,
     targets_from_spec,
 )
 from .gof import (

@@ -580,13 +580,13 @@ def _raw_moment_dtl(r, c, x_l, x_u):
     # E[(x_l + w T)^r] by the binomial expansion, every term >= 0
     if r > 4:
         raise DomainError(f"dtl raw moments are computed up to order 4, got r={r}")
-    w = min(x_u - x_l, _DTL_ZW_MAX / c)
+    w = np.minimum(x_u - x_l, _DTL_ZW_MAX / c)
     e = _dtl_moments(c * w, 1.0 + x_l, w, r)
     return sum(math.comb(r, j) * x_l ** (r - j) * w ** j * e[j] for j in range(r + 1))
 
 
 def _raw_moment_lognormal(r, m, sigma):
-    return m**r * math.exp(0.5 * r * r * sigma * sigma)
+    return m**r * np.exp(0.5 * r * r * sigma * sigma)
 
 
 _RAW_MOMENT = {
@@ -620,8 +620,8 @@ def raw_moment(spec: DistributionSpec, r: int) -> float:
     )
 
 
-# Mean with variance, per family.  The mixture, power and new-weighted forms
-# also take parameter arrays, for the batched estimators.
+# Mean with variance, per family.  Every form here and in _RAW_MOMENT also
+# takes parameter arrays, for the batched estimator.
 
 # lnGamma(1 + 2s) - 2 lnGamma(1 + s) = sum_{k>=2} (-1)^k zeta(k) (2^k - 2) s^k / k, highest power first;
 # for s <= 0.05 the terms fall by 2s <= 0.1 each, so 18 of them reach the last bit
@@ -651,7 +651,7 @@ def _mean_variance_nwl(b, c):
 
 
 def _mean_variance_dtl(c, x_l, x_u):
-    w = min(x_u - x_l, _DTL_ZW_MAX / c)
+    w = np.minimum(x_u - x_l, _DTL_ZW_MAX / c)
     _, e1, e2 = _dtl_moments(c * w, 1.0 + x_l, w, 2)
     return x_l + w * e1, w * (w * (e2 - e1 * e1))
 
@@ -661,11 +661,9 @@ def _mean_variance_lognormal(m, sigma):
     # double and as r (r (1 - e^-s2)) with r = m e^s2 past it: no intermediate
     # leaves the doubles where the variance is one
     s2 = sigma * sigma
-    mu = m * math.exp(0.5 * s2)
-    if s2 < 709.0:
-        return mu, mu * (mu * math.expm1(s2))
-    r = np.exp(math.log(m) + s2)   # overflows to inf where math.exp raises, so the mean survives
-    return mu, r * (r * -math.expm1(-s2))
+    mu = m * np.exp(0.5 * s2)
+    r = np.exp(np.log(m) + s2)
+    return mu, np.where(s2 < 709.0, mu * (mu * np.expm1(s2)), r * (r * -np.expm1(-s2)))
 
 
 _MEAN_VARIANCE = {

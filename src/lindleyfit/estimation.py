@@ -1,21 +1,22 @@
 """Method-of-moments parameter recovery for every family.
 
-:func:`estimate` dispatches by family.  ``lindley1``, ``tpld`` and the
-lognormal have closed forms, and ``dtl`` matches its one mean equation,
-which falls strictly in z = c (x_u - x_l), by bisecting ln z with
-:func:`_bisect`.  Each of these single-root fits is judged by one rule,
-:func:`_closed_form_report`: its mean defect, and for the two-parameter forms
-its variance defect, each relative to its target.
+Each family's ``_<family>_candidates`` supplies parameter vectors, each
+marked as a root or as a probe, and :func:`estimate` alone judges them and
+builds the report.  ``lindley1``, ``tpld`` and the lognormal have closed
+forms, and ``dtl``'s mean, which falls strictly in z = c (x_u - x_l), is
+matched by bisecting ln z with :func:`_bisect`: each gives one root.  The
+``pld``, ``nwl``, ``gld`` and ``ngld`` systems each reduce exactly to one
+unknown, with the other parameters in closed form, and three of the four
+reductions are polynomials (degree 3, 6 and 7 for ``gld``, ``nwl`` and
+``ngld``).  Their unknown's domain is cut at the polynomial's extrema, so
+that each piece holds at most one root, and every piece whose ends differ in
+sign is bisected (:func:`_cut_roots`); ``pld`` needs no cut.
 
-The power / new-weighted families match {mean = xbar, variance = s2} and the
-generalized / new-generalized families add the third raw moment.  Each of
-those four systems reduces exactly to one unknown, with the other parameters
-in closed form, and three of the four reductions are polynomials (degree 3,
-6 and 7 for ``gld``, ``nwl`` and ``ngld``).  :func:`_estimate_reduced` cuts
-the unknown's domain at the polynomial's extrema, so that each piece holds
-at most one root, and bisects every piece whose ends differ in sign
-(:func:`_cut_roots`); ``pld`` needs no cut.  Every root is judged by the
-family's own moment forms, relative to the targets.
+One rule judges every candidate: it must pass the family's validator, and
+its defect on each moment it matches must be within NEWTON_TOL of the
+target (xbar, s2 + xbar^2, xbar3).  ``lindley1`` and ``dtl`` match the mean;
+every other family as many of (mean, variance, third raw moment) as it has
+parameters.
 
 The three-parameter moment systems are genuinely multi-rooted: distinct
 positive parameter vectors can share their first three moments (at most two
@@ -27,7 +28,6 @@ published fits.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +42,7 @@ from .errors import (
     EstimationError,
     InfeasibleMomentsError,
     NoSolutionError,
+    ParameterError,
 )
 
 NEWTON_TOL = 1e-10          # max defect on the moment equations, relative to each raw target
@@ -101,7 +102,12 @@ class SolveReport:
     converged: bool
 
 
-def estimate_lindley1(t: MomentTargets) -> SolveReport:
+def _one_root(*params):
+    """The candidates of a system solved in closed form: one parameter vector, marked as a root."""
+    return np.array([params]), np.ones(1, dtype=bool)
+
+
+def _lindley1_candidates(t: MomentTargets):
     """Closed-form c from the mean match: the positive root of x c^2 + (x - 1) c - 2 = 0.
 
     Here x is the sample mean.  Each side of x = 1 uses the form of the root without cancellation, and the
@@ -114,24 +120,10 @@ def estimate_lindley1(t: MomentTargets) -> SolveReport:
         c_hat = 4.0 / (x - 1.0 + x * math.sqrt(1.0 + (6.0 + 1.0 / x) / x))
     if not (0.0 < c_hat < math.inf):
         raise NoSolutionError(f"the root c = {c_hat} for mean {x} is not a finite positive float")
-    return _closed_form_report(dist.lindley1(c_hat), t, 1)
+    return _one_root(c_hat)
 
 
-def _closed_form_report(spec: DistributionSpec, t: MomentTargets, k: int) -> SolveReport:
-    """The defects of a single-root fit on the first k of (mean, variance), each judged relative to its target.
-
-    The variance is evaluated only for k = 2: a one-equation fit can have a
-    finite mean but no finite variance.
-    """
-    defects = [dist.mean(spec) - t.xbar]
-    if k == 2:
-        defects.append(dist.variance(spec) - t.s2)
-    residuals = np.array(defects)
-    converged = bool(np.all(np.abs(residuals) <= NEWTON_TOL * np.array([t.xbar, t.s2])[:k]))
-    return SolveReport(spec=spec, residuals=residuals, iterations=0, converged=converged)
-
-
-def estimate_tpld(t: MomentTargets) -> SolveReport:
+def _tpld_candidates(t: MomentTargets):
     """Closed-form two-parameter estimates from the mean/variance match.
 
     tpld is a scale family: the match is solved in units of 2^e ~ xbar, where no
@@ -152,16 +144,15 @@ def estimate_tpld(t: MomentTargets) -> SolveReport:
         * (xbar * root - 2.0 * s2)
         / ((xbar * root + xbar * xbar - s2) * (2.0 * xbar + root))
     )
-    # tpld() itself raises ParameterError for a pair with b*c <= -1
-    return _closed_form_report(dist.tpld(math.ldexp(b_hat, e), math.ldexp(c_hat, -e)), t, 2)
+    return _one_root(math.ldexp(b_hat, e), math.ldexp(c_hat, -e))
 
 
-def estimate_lognormal(t: MomentTargets) -> SolveReport:
+def _lognormal_candidates(t: MomentTargets):
     """Closed-form median/shape estimates from the mean/variance match."""
     sigma2 = math.log1p(t.s2 / t.xbar / t.xbar)   # xbar^2 can underflow where the ratio does not
     sigma = math.sqrt(sigma2)
     m = t.xbar * math.exp(-0.5 * sigma2)
-    return _closed_form_report(dist.lognormal(m, sigma), t, 2)
+    return _one_root(m, sigma)
 
 
 # --------------------------------------------------------------------------
@@ -175,7 +166,7 @@ def _moment_map(family: Family):
 
     def moments(params: np.ndarray) -> np.ndarray:
         cols = [params[..., j] for j in range(k)]
-        out = np.empty(params.shape)
+        out = np.empty(params.shape[:-1] + (max(k, 2),))
         out[..., 0], out[..., 1] = mean_variance(*cols)
         if k == 3:
             out[..., 2] = raw_moment(3, *cols)
@@ -388,72 +379,7 @@ def _pld_candidates(t: MomentTargets):
     return np.column_stack([np.exp(log_b(s)), 1.0 / s]), root
 
 
-_CANDIDATES = {
-    Family.PLD: _pld_candidates,
-    Family.NWL: _nwl_candidates,
-    Family.GLD: _gld_candidates,
-    Family.NGLD: _ngld_candidates,
-}
-
-
-def _select_root(roots):
-    """Smallest-residual class first, then smallest c, then lexicographic.
-
-    Exact roots of a multi-rooted system can differ in their last-bit defect;
-    keeping only the best residual class (within a factor of 1e3, or below
-    1e-14 of the targets) separates exact roots from candidates that merely
-    pass the tolerance, such as noise roots of a near-constant sample,
-    without ranking exact roots by rounding.
-    """
-    res_min = min(r[-1] for r in roots)
-    keep = [r for r in roots if r[-1] <= max(res_min * 1e3, 1e-14)]
-    return min(keep, key=lambda r: (r[0][-1],) + tuple(r[0][:-1]))
-
-
-def _moment_roots(family: Family, t: MomentTargets):
-    """Roots of the family's moment system within NEWTON_TOL, and the smallest relative defect of any candidate.
-
-    Every root and probe of the family's 1-D reduction is evaluated with the
-    family's own moment forms.  Its defects on the mean, the variance and the
-    third raw moment are taken relative to (xbar, s2 + xbar^2, xbar3): the
-    reductions match raw moments, so the variance is judged on the scale of
-    the second raw moment.  Each root comes as (params, raw defects, relative defect).
-    """
-    # overflow and domain errors become NaN defects, which no pick reads
-    with np.errstate(all="ignore"):
-        params, root = _CANDIDATES[family](t)
-        ok = np.isfinite(params).all(axis=1) & (params > 0).all(axis=1)
-        params, root = params[ok], root[ok]
-        k = params.shape[1]
-        raw = _moment_map(family)(params) - np.array([t.xbar, t.s2, t.xbar3])[:k]
-        rel = np.abs(raw / np.array([t.xbar, t.s2 + t.xbar * t.xbar, t.xbar3])[:k]).max(axis=1)
-    roots = [(p, r, res) for p, r, res in zip(params[root], raw[root], rel[root]) if res <= NEWTON_TOL]
-    return roots, float(np.min(rel[np.isfinite(rel)], initial=math.inf))
-
-
-def _estimate_reduced(family: Family, t: MomentTargets) -> SolveReport:
-    """Solve a family's reduced moment system and report the root :func:`_select_root` picks.
-
-    Raises EstimationError when no root or probe has a finite defect, or no
-    root is within NEWTON_TOL.
-    """
-    roots, best_residual = _moment_roots(family, t)
-    if best_residual == math.inf:
-        raise EstimationError(
-            f"{family.value} moment solve failed: no root or probe of its 1-D reduction has a finite defect",
-            best_residual=None,
-        )
-    if not roots:
-        raise EstimationError(
-            f"{family.value} moment solve failed: no candidate root is within {NEWTON_TOL:g} "
-            f"(best relative defect {best_residual:.3g})",
-            best_residual=best_residual,
-        )
-    p, raw, _ = _select_root(roots)
-    return SolveReport(spec=DistributionSpec(family, tuple(p)), residuals=raw, iterations=0, converged=True)
-
-
-def estimate_dtl(t: MomentTargets) -> SolveReport:
+def _dtl_candidates(t: MomentTargets):
     """Truncation bounds from the order statistics, then c from the mean match by bisection.
 
     With w = x_u - x_l and z = c w, T = (X - x_l)/w has density proportional to
@@ -487,18 +413,89 @@ def estimate_dtl(t: MomentTargets) -> SolveReport:
     c = float(np.exp(0.5 * (lo + hi))) / w
     if not (0.0 < c < math.inf):
         raise NoSolutionError(f"the root c for mean {xbar} on [{x_l}, {x_u}] is not a finite positive float")
-    return _closed_form_report(dist.dtl(c, x_l, x_u), t, 1)
+    return _one_root(c, x_l, x_u)
 
 
-_ESTIMATORS = {
-    Family.LINDLEY1: estimate_lindley1,
-    Family.TPLD: estimate_tpld,
-    Family.DTL: estimate_dtl,
-    Family.LOGNORMAL: estimate_lognormal,
-    **{family: functools.partial(_estimate_reduced, family) for family in _CANDIDATES},
+_CANDIDATES = {
+    Family.LINDLEY1: _lindley1_candidates,
+    Family.TPLD: _tpld_candidates,
+    Family.PLD: _pld_candidates,
+    Family.NWL: _nwl_candidates,
+    Family.GLD: _gld_candidates,
+    Family.NGLD: _ngld_candidates,
+    Family.DTL: _dtl_candidates,
+    Family.LOGNORMAL: _lognormal_candidates,
 }
+
+# how many moments a family matches, where that is not its parameter count:
+# dtl's truncation bounds are the sample's order statistics
+_MATCHED = {Family.DTL: 1}
+
+
+def _select_root(roots):
+    """Smallest-residual class first, then smallest c, then lexicographic.
+
+    Exact roots of a multi-rooted system can differ in their last-bit defect;
+    keeping only the best residual class (within a factor of 1e3, or below
+    1e-14 of the targets) separates exact roots from candidates that merely
+    pass the tolerance, such as noise roots of a near-constant sample,
+    without ranking exact roots by rounding.
+    """
+    res_min = min(r[-1] for r in roots)
+    keep = [r for r in roots if r[-1] <= max(res_min * 1e3, 1e-14)]
+    return min(keep, key=lambda r: (r[0][-1],) + tuple(r[0][:-1]))
+
+
+def _is_params(family: Family, p) -> bool:
+    """Whether p is a finite parameter vector that the family's validator accepts."""
+    try:
+        DistributionSpec(family, tuple(p))
+    except ParameterError:
+        return False
+    return True
+
+
+def _moment_roots(family: Family, t: MomentTargets):
+    """Roots of the family's moment system within NEWTON_TOL, and the smallest relative defect of any candidate.
+
+    Every root and probe the family supplies that is a valid parameter vector
+    is evaluated with the family's own moment forms.  Its defects on the
+    moments it matches, of (mean, variance, third raw moment), are taken
+    relative to (xbar, s2 + xbar^2, xbar3): the systems match raw moments, so
+    the variance is judged on the scale of the second raw moment.  Each root
+    comes as (params, raw defects, relative defect).
+    """
+    # overflow and domain errors become NaN defects, which no pick reads
+    with np.errstate(all="ignore"):
+        params, root = _CANDIDATES[family](t)
+        ok = np.array([_is_params(family, p) for p in params], dtype=bool)
+        params, root = params[ok], root[ok]
+        k = _MATCHED.get(family, params.shape[1])
+        raw = _moment_map(family)(params)[:, :k] - np.array([t.xbar, t.s2, t.xbar3])[:k]
+        rel = np.abs(raw / np.array([t.xbar, t.s2 + t.xbar * t.xbar, t.xbar3])[:k]).max(axis=1)
+    roots = [(p, r, res) for p, r, res in zip(params[root], raw[root], rel[root]) if res <= NEWTON_TOL]
+    return roots, float(np.min(rel[np.isfinite(rel)], initial=math.inf))
 
 
 def estimate(family, t: MomentTargets) -> SolveReport:
-    """Dispatch to the family's estimator."""
-    return _ESTIMATORS[Family(family)](t)
+    """Solve the family's moment system and report the root :func:`_select_root` picks.
+
+    Raises the family's own typed error where its closed form or bracket
+    rules the targets out, and EstimationError when no root or probe has a
+    finite defect, or no root is within NEWTON_TOL.
+    """
+    family = Family(family)
+    roots, best_residual = _moment_roots(family, t)
+    if best_residual == math.inf:
+        raise EstimationError(
+            f"{family.value} moment solve failed: no root or probe of its 1-D reduction has a finite defect",
+            best_residual=None,
+        )
+    if not roots:
+        raise EstimationError(
+            f"{family.value} moment solve failed: no candidate root is within {NEWTON_TOL:g} "
+            f"(best relative defect {best_residual:.3g})",
+            best_residual=best_residual,
+        )
+    p, raw, _ = _select_root(roots)
+    return SolveReport(spec=DistributionSpec(family, tuple(p)), residuals=raw, iterations=0, converged=True)

@@ -13,7 +13,7 @@ import lindleyfit as lf
 import reference_forms as ref
 from conftest import checkout_env
 from lindleyfit import estimation as est
-from lindleyfit.distributions import Family
+from lindleyfit.distributions import PARAM_NAMES, Family
 from lindleyfit.errors import (
     EstimationError,
     InfeasibleMomentsError,
@@ -54,34 +54,34 @@ class TestMomentTargets:
 
 class TestLindley1:
     def test_xbar_15_gives_c_1(self):
-        r = est.estimate_lindley1(targets(1.5, 0.5))
+        r = est.estimate(Family.LINDLEY1, targets(1.5, 0.5))
         assert r.converged
         assert r.spec.params[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_table_anchor_round_trip(self):
         t = est.targets_from_spec(lf.lindley1(2.94))
-        r = est.estimate_lindley1(t)
+        r = est.estimate(Family.LINDLEY1, t)
         assert r.spec.params[0] == pytest.approx(2.94, abs=1e-8)
 
     def test_xbar_two_thirds_gives_c_2(self):
-        r = est.estimate_lindley1(targets(2.0 / 3.0, 0.5))
+        r = est.estimate(Family.LINDLEY1, targets(2.0 / 3.0, 0.5))
         assert r.spec.params[0] == pytest.approx(2.0, abs=1e-10)
 
     def test_report_residual_is_mean_defect(self):
         t = targets(0.8, 0.3)
-        r = est.estimate_lindley1(t)
+        r = est.estimate(Family.LINDLEY1, t)
         assert abs(r.residuals[0]) <= 1e-10
         assert lf.mean(r.spec) == pytest.approx(t.xbar, abs=1e-9)
 
     @pytest.mark.parametrize("xbar", np.geomspace(1e-11, 1e11, 45))
     def test_closed_form_matches_mean_at_every_scale(self, xbar):
-        r = est.estimate_lindley1(targets(xbar, 0.5))
+        r = est.estimate(Family.LINDLEY1, targets(xbar, 0.5))
         assert r.converged
         assert abs(lf.mean(r.spec) / xbar - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("xbar", [1e-300, 1e-200, 1e200, 1e300])
     def test_converges_at_extreme_means(self, xbar):
-        r = est.estimate_lindley1(targets(xbar, 0.5))
+        r = est.estimate(Family.LINDLEY1, targets(xbar, 0.5))
         assert r.converged
         assert lf.mean(r.spec) == pytest.approx(xbar, rel=1e-15)
 
@@ -89,7 +89,7 @@ class TestLindley1:
     def test_unrepresentable_root_is_no_solution(self, xbar):
         # c would be inf or 0 in double precision
         with pytest.raises(NoSolutionError):
-            est.estimate_lindley1(targets(xbar, 0.5))
+            est.estimate(Family.LINDLEY1, targets(xbar, 0.5))
 
 
 def _fresh_python(code):
@@ -126,18 +126,18 @@ def test_cold_fit_leaves_scipy_optimize_unloaded(tmp_path):
 
 class TestTpld:
     def test_closed_form_round_trip(self):
-        r = est.estimate_tpld(targets(2.0 / 3.0, 7.0 / 18.0))
+        r = est.estimate(Family.TPLD, targets(2.0 / 3.0, 7.0 / 18.0))
         b, c = r.spec.params
         assert b == pytest.approx(1.0, abs=1e-12)
         assert c == pytest.approx(2.0, abs=1e-12)
 
     def test_infeasible_when_variance_dominates(self):
         with pytest.raises(InfeasibleMomentsError):
-            est.estimate_tpld(targets(1.0, 1.0))
+            est.estimate(Family.TPLD, targets(1.0, 1.0))
 
     def test_negative_b_anchor_round_trip(self):
         t = est.targets_from_spec(lf.tpld(-0.099, 4.2))
-        r = est.estimate_tpld(t)
+        r = est.estimate(Family.TPLD, t)
         b, c = r.spec.params
         assert b == pytest.approx(-0.099, rel=1e-8)
         assert c == pytest.approx(4.2, rel=1e-8)
@@ -152,10 +152,10 @@ class TestTpld:
         # scaling the data by k scales b by k and c by 1/k
         s2 = ratio * xbar * xbar
         try:
-            r1 = est.estimate_tpld(targets(xbar, s2))
+            r1 = est.estimate(Family.TPLD, targets(xbar, s2))
         except (InfeasibleMomentsError, Exception):
             return
-        r2 = est.estimate_tpld(targets(k * xbar, k * k * s2))
+        r2 = est.estimate(Family.TPLD, targets(k * xbar, k * k * s2))
         b1, c1 = r1.spec.params
         b2, c2 = r2.spec.params
         assert b2 == pytest.approx(k * b1, rel=1e-9)
@@ -223,17 +223,18 @@ class TestTwoParam:
             est.estimate(Family.PLD, targets(5.0, 1e-6))
         assert err.value.best_residual is not None
 
-    @pytest.mark.parametrize("family", [Family.PLD, Family.NWL])
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
     def test_scan_without_candidates_says_so(self, monkeypatch, family):
-        # the same message and best_residual as the three-parameter families
-        monkeypatch.setitem(est._CANDIDATES, family, lambda t: (np.empty((0, 2)), np.empty(0, dtype=bool)))
+        # one message and best_residual for every family
+        k = len(PARAM_NAMES[family])
+        monkeypatch.setitem(est._CANDIDATES, family, lambda t: (np.empty((0, k)), np.empty(0, dtype=bool)))
         with pytest.raises(EstimationError, match="no root or probe of its 1-D reduction") as err:
             est.estimate(family, targets(1.0, 0.5))
         assert err.value.best_residual is None
 
     def test_solve_evaluates_the_moment_forms_once(self, monkeypatch):
-        # one batched evaluation judges every candidate of the 1-D scan; no
-        # Newton iteration follows it
+        # one batched evaluation judges every candidate of the 1-D reduction;
+        # no Newton iteration follows it
         calls = []
         moment_map = est._moment_map
 
@@ -262,13 +263,16 @@ class TestTwoParam:
                 # the root must still reproduce them
                 assert np.all(np.abs(r.residuals) <= 1e-14 * np.array([t.xbar, t.s2 + t.xbar**2])), p
 
-    def test_near_constant_pld_sample_gets_an_exact_root(self):
+    @pytest.mark.parametrize("family", [Family.PLD, Family.TPLD], ids=lambda f: f.value)
+    def test_near_constant_pld_sample_gets_an_exact_root(self, family):
         # the variance is 1e-10 of m2, so an absolute 1e-10 tolerance accepted
-        # any c from 1e5 to 4e8; the scan's noise roots (relative defect near
-        # 1e-10) fall outside the best-residual class
+        # any pld c from 1e5 to 4e8, and noise roots (relative defect near
+        # 1e-10) fall outside the best-residual class; the variance is judged
+        # on the scale of m2, so tpld's closed form converges here as pld does
         masses = 1.0 + 1e-5 * np.random.default_rng(5).standard_normal(500)
         t = est.MomentTargets.from_summary(lf.summarize(lf.MassCatalog("flat", masses)))
-        r = est.estimate(Family.PLD, t)
+        r = est.estimate(family, t)
+        assert r.converged
         assert np.max(np.abs(r.residuals) / np.array([t.xbar, t.s2 + t.xbar**2])) <= 1e-14
 
 
@@ -338,8 +342,8 @@ class TestThreeParam:
             est.estimate(Family.GLD, law_targets("lognormal"))
         assert est.NEWTON_TOL < err.value.best_residual < math.inf
 
-    def test_ngld_scan_reaches_narrow_sample_roots(self):
-        # a narrow sample puts the root at c ~ 1e9, past the old scan's [1e-6, 1e6]
+    def test_ngld_reaches_narrow_sample_roots(self):
+        # a narrow sample puts the root at c ~ 1e9
         t = targets(1.0, 1e-9, 1.0 + 3e-9)
         r = est.estimate(Family.NGLD, t)
         assert r.converged
@@ -347,7 +351,7 @@ class TestThreeParam:
         assert np.all(np.abs(r.residuals) <= est.NEWTON_TOL * np.array([t.xbar, t.s2 + t.xbar**2, t.xbar3]))
 
     def test_ngld_canonical_root(self):
-        # its targets have another exact root at c = 6.10, which the c-grid scan found first
+        # its targets have another exact root, at c = 6.10
         t = est.targets_from_spec(lf.ngld(84.375, 1.769, 0.17))
         r = est.estimate(Family.NGLD, t)
         np.testing.assert_allclose(r.spec.params, (84.375, 1.769, 0.17), rtol=1e-8)
@@ -416,7 +420,7 @@ DTL_RATES = [0.05, 0.3, 1.0, 2.71, 8.0, 25.0]
 class TestDtl:
     def test_table_anchor(self):
         t = est.targets_from_spec(lf.dtl(2.71, 0.019, 1.46))
-        r = est.estimate_dtl(t)
+        r = est.estimate(Family.DTL, t)
         c, x_l, x_u = r.spec.params
         assert c == pytest.approx(2.71, abs=1e-6)
         assert (x_l, x_u) == (0.019, 1.46)
@@ -429,22 +433,22 @@ class TestDtl:
     def test_midpoint_attainability(self):
         x_l, x_u = 0.2, 2.5
         xbar = lf.mean(lf.dtl(1.0, x_l, x_u))
-        r = est.estimate_dtl(targets(xbar, 0.1, x_min=x_l, x_max=x_u))
+        r = est.estimate(Family.DTL, targets(xbar, 0.1, x_min=x_l, x_max=x_u))
         assert r.spec.params[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_degenerate_support(self):
         with pytest.raises(InfeasibleMomentsError):
-            est.estimate_dtl(targets(1.0, 0.1, x_min=1.0, x_max=1.0))
+            est.estimate(Family.DTL, targets(1.0, 0.1, x_min=1.0, x_max=1.0))
 
     def test_negative_lower_bound_is_infeasible(self):
         # MomentTargets holds x_min <= xbar <= x_max; the dtl support starts at 0
         with pytest.raises(InfeasibleMomentsError, match="0 <= x_min < x_max"):
-            est.estimate_dtl(targets(1.0, 0.1, x_min=-0.5, x_max=2.0))
+            est.estimate(Family.DTL, targets(1.0, 0.1, x_min=-0.5, x_max=2.0))
 
     def test_mean_outside_attainable_range(self):
         # mean almost at the upper bound needs c below the bracket
         with pytest.raises(NoSolutionError):
-            est.estimate_dtl(targets(2.999999, 0.1, x_min=0.1, x_max=3.0))
+            est.estimate(Family.DTL, targets(2.999999, 0.1, x_min=0.1, x_max=3.0))
 
     @pytest.mark.parametrize("window", DTL_WINDOWS)
     def test_matches_brentq(self, window):
@@ -457,7 +461,7 @@ class TestDtl:
                 lambda cc: lf.mean(lf.dtl(cc, x_l, x_u)) - xbar,
                 c / 4.0, c * 4.0, xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=500,
             )
-            r = est.estimate_dtl(targets(xbar, 0.1, x_min=x_l, x_max=x_u))
+            r = est.estimate(Family.DTL, targets(xbar, 0.1, x_min=x_l, x_max=x_u))
             assert r.converged
             assert r.iterations <= 30
             assert r.spec.params == pytest.approx((want, x_l, x_u), rel=1e-12, abs=0.0)
@@ -469,7 +473,7 @@ class TestDtl:
         # exact root for the rounded xbar, and the generating c only as far
         # as one ulp of xbar pins it
         xbar = lf.mean(lf.dtl(c, x_l, x_u))
-        r = est.estimate_dtl(targets(xbar, 0.1, x_min=x_l, x_max=x_u))
+        r = est.estimate(Family.DTL, targets(xbar, 0.1, x_min=x_l, x_max=x_u))
         assert r.converged
         assert r.iterations <= 8
         c_hat = r.spec.params[0]
@@ -482,23 +486,23 @@ class TestDtl:
         u = np.random.default_rng(7).uniform(size=800)
         lo, hi = 0.2 ** -1.35, 40.0 ** -1.35
         m = (lo + u * (hi - lo)) ** (-1.0 / 1.35) * unit
-        r = est.estimate_dtl(targets(float(np.mean(m)), 0.1, x_min=float(m.min()), x_max=float(m.max())))
+        r = est.estimate(Family.DTL, targets(float(np.mean(m)), 0.1, x_min=float(m.min()), x_max=float(m.max())))
         assert r.converged
         assert abs(lf.mean(r.spec) / np.mean(m) - 1.0) <= 1e-12
 
     def test_unattainable_mean_names_the_interval(self):
         # on [1, 3] the c -> 0+ mean is (2 + 13/3)/3 = 19/9
         with pytest.raises(NoSolutionError, match=r"\(1, 2\.11111\)"):
-            est.estimate_dtl(targets(2.2, 0.1, x_min=1.0, x_max=3.0))
-        r = est.estimate_dtl(targets(2.1, 0.1, x_min=1.0, x_max=3.0))
+            est.estimate(Family.DTL, targets(2.2, 0.1, x_min=1.0, x_max=3.0))
+        r = est.estimate(Family.DTL, targets(2.1, 0.1, x_min=1.0, x_max=3.0))
         assert r.converged
 
     def test_unrepresentable_root_or_moments(self):
         # c, about 1/(xbar - x_l), is past the largest double
         with pytest.raises(NoSolutionError):
-            est.estimate_dtl(targets(5e-324, 1.0, x_min=0.0, x_max=2e-323))
+            est.estimate(Family.DTL, targets(5e-324, 1.0, x_min=0.0, x_max=2e-323))
         # the second moment of masses near 1e200 is past it, but the mean match needs only the mean
-        r = est.estimate_dtl(targets(5e200, 1.0, x_min=1e200, x_max=1e201))
+        r = est.estimate(Family.DTL, targets(5e200, 1.0, x_min=1e200, x_max=1e201))
         assert r.converged
         assert abs(lf.mean(r.spec) / 5e200 - 1.0) <= 1e-12
 
@@ -506,7 +510,7 @@ class TestDtl:
         # (xbar - x_l)/w = 1e-60 is below E[T] at c w = 1e50, where the window
         # is cut; a sample of n points has (xbar - x_l)/w >= 1/n
         with pytest.raises(NoSolutionError, match=r"\(0, 0\.555556\)") as err:
-            est.estimate_dtl(targets(1e-60, 1.0, x_min=0.0, x_max=1.0))
+            est.estimate(Family.DTL, targets(1e-60, 1.0, x_min=0.0, x_max=1.0))
         assert 0.0 < err.value.best_residual < 1e-49
 
     @settings(max_examples=150, deadline=None)
@@ -525,7 +529,7 @@ class TestDtl:
         mu0 = (h + (fu * fu + fu * fl + fl * fl) / 3) / (1 + h)
         edge = abs(Fraction(xbar) / mu0 - 1) <= Fraction(1, 10**14)
         try:
-            r = est.estimate_dtl(targets(xbar, 1.0, x_min=x_l, x_max=x_u))
+            r = est.estimate(Family.DTL, targets(xbar, 1.0, x_min=x_l, x_max=x_u))
         except NoSolutionError:
             # the interval's ends are known to rounding only
             assert xbar <= x_l or xbar >= mu0 or edge
@@ -538,14 +542,14 @@ class TestDtl:
 class TestLognormal:
     def test_round_trip(self):
         t = est.targets_from_spec(lf.lognormal(0.6, 0.9))
-        r = est.estimate_lognormal(t)
+        r = est.estimate(Family.LOGNORMAL, t)
         m, sigma = r.spec.params
         assert m == pytest.approx(0.6, rel=1e-12)
         assert sigma == pytest.approx(0.9, rel=1e-12)
 
     def test_forward_match(self):
         t = targets(1.3, 0.6)
-        r = est.estimate_lognormal(t)
+        r = est.estimate(Family.LOGNORMAL, t)
         assert lf.mean(r.spec) == pytest.approx(1.3, rel=1e-12)
         assert lf.variance(r.spec) == pytest.approx(0.6, rel=1e-12)
 
@@ -590,6 +594,9 @@ def test_extreme_targets_end_in_report_or_typed_error(family, moments):
 
 class TestDispatch:
     def test_every_family_is_estimable(self):
+        # estimate is the one entry point
+        assert callable(lf.estimate)
+        assert [name for name in dir(lf) if name.startswith("estimate_")] == []
         rng = np.random.default_rng(53)
         from conftest import random_spec
 
@@ -623,8 +630,6 @@ class TestDispatch:
         assert (r.spec.family, len(r.residuals), r.converged, r.iterations) == (family, k, True, 0)
 
 
-SCANNED = (Family.PLD, Family.NWL, Family.GLD, Family.NGLD)
-
 # log-uniform parameter ranges and the numpy seed of each population sweep
 POPULATIONS = {
     Family.GLD: ([(0.05, 50.0)] * 3, 1),
@@ -653,13 +658,13 @@ def test_population_targets_are_fitted(family):
 
 
 def test_batched_moment_maps_match_scalar_moments():
-    # every parameter vector the frozen root-selection fixture reports
+    # every parameter vector the frozen root-selection fixture reports, and each family's table anchor
     fixture = json.loads((Path(__file__).parent / "data" / "root_selection.json").read_text())
-    for fam in SCANNED:
+    for fam in Family:
         entries = [e for e in fixture["entries"] if e["family"] == fam.value and e["params"]]
-        params = np.array([e["params"] for e in entries])
-        k = params.shape[1]
+        params = np.array([e["params"] for e in entries] + [TestDispatch.MATCHED[fam][0]])
         got = est._moment_map(fam)(params)
+        k = got.shape[1]
         want = []
         for p in params:
             spec = lf.DistributionSpec(fam, p)
@@ -667,9 +672,9 @@ def test_batched_moment_maps_match_scalar_moments():
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(
-    family=st.sampled_from(SCANNED),
+    family=st.sampled_from(list(Family)),
     log_xbar=st.floats(min_value=-200.0, max_value=math.log10(1e150)),
     log_ratio=st.floats(min_value=-6.0, max_value=6.0),
     log_skew=st.floats(min_value=-1.0, max_value=3.0),
@@ -679,7 +684,7 @@ def test_batched_moment_maps_match_scalar_moments():
 # ngld's polynomial coefficients span far more than the doubles here
 @example(family=Family.NGLD, log_xbar=-82.0, log_ratio=0.0, log_skew=0.0)
 @example(family=Family.NGLD, log_xbar=-100.0, log_ratio=-6.0, log_skew=0.0)
-def test_multistart_estimators_end_in_report_or_typed_error(family, log_xbar, log_ratio, log_skew):
+def test_estimators_end_in_report_or_typed_error(family, log_xbar, log_ratio, log_skew):
     # s2/xbar^2 = 10^log_ratio and m3/(m1 m2) = 10^log_skew; RuntimeWarnings
     # are errors under the suite's warning filter, so none may leak
     def pow10(e):  # inf past the largest double, where MomentTargets refuses it

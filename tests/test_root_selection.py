@@ -1,17 +1,16 @@
-"""Frozen root selection of the scanned moment estimators.
+"""Frozen root selection of the pld, nwl, gld and ngld moment estimators.
 
 ``data/root_selection.json`` maps moment targets to the outcome the
-estimators gave before the multistart solver was vectorised: the result
-type (``SolveReport`` or the error class), the chosen parameters and, for
-the three-parameter families, every distinct root the solver collected with
-its residual.  The targets come from three sources, all drawn here with
-numpy:
+estimators gave when it was frozen: the result type (``SolveReport`` or the
+error class), the chosen parameters and, for the three-parameter families,
+every distinct root the solver collected with its residual.  The targets
+come from three sources, all drawn here with numpy:
 
 * the criterion-3 draws of ``test_acceptance`` (same generator, same order);
 * the published anchors of ``test_acceptance``;
 * one sample per generating law of the fit benchmark (lindley1 mixture,
   gld-shaped two-gamma mixture, lognormal, truncated Salpeter power law),
-  fitted by all four scanned families.
+  fitted by all four of these families.
 
 A solver change must reproduce every stored result type, and the stored
 parameters at rel 1e-9 or, where larger, at the entry's ``rtol``: how far a
