@@ -104,7 +104,6 @@ def _fit_catalog(config: RunConfig, path: str) -> dict:
             fit = gof.full_report(cat.masses, solve.spec, config.n_bins)
             entry.update(
                 params=solve.spec.param_dict(),
-                converged=solve.converged,
                 iterations=solve.iterations,
                 chi2=fit.chi2,
                 chi2_red=fit.chi2_red,
@@ -186,17 +185,16 @@ def _write_report(report: dict, config: RunConfig) -> None:
         with open(out / f"{stem}_fits.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
-                ["family", "parameters", "converged", "aic", "chi2", "chi2_red", "q", "d", "p_ks", "best", "error"]
+                ["family", "parameters", "aic", "chi2", "chi2_red", "q", "d", "p_ks", "best", "error"]
             )
             for f in report["fits"]:
                 if "error" in f:
-                    writer.writerow([f["family"], "", "", "", "", "", "", "", "", "", f["error"]])
+                    writer.writerow([f["family"], "", "", "", "", "", "", "", "", f["error"]])
                 else:
                     writer.writerow(
                         [
                             f["family"],
                             ";".join(f"{k}={v!r}" for k, v in f["params"].items()),
-                            f["converged"],
                             repr(f["aic"]),
                             repr(f["chi2"]),
                             repr(f["chi2_red"]),

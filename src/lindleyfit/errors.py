@@ -22,14 +22,14 @@ class SurvivalUnderflowError(LindleyFitError, ArithmeticError):
 
 
 class EstimationError(LindleyFitError, RuntimeError):
-    """A moment-matching solve failed.
+    """A moment fit failed: no candidate parameter vector passes the estimation judge.
 
     Attributes
     ----------
     best_residual:
-        The smallest relative defect of any root candidate or probe of the
-        family's 1-D reduction (its domain ends and cuts), or for ``dtl`` the
-        distance from the mean to its attainable interval; None if there is none.
+        The smallest relative defect of any valid candidate, or for ``dtl``'s
+        unattainable mean the distance from the mean to its attainable
+        interval; None if there is none.
     """
 
     def __init__(self, message, best_residual=None):
@@ -38,11 +38,7 @@ class EstimationError(LindleyFitError, RuntimeError):
 
 
 class InfeasibleMomentsError(EstimationError, ValueError):
-    """The supplied sample moments admit no valid parameter vector."""
-
-
-class NoSolutionError(EstimationError):
-    """No representable root: from the closed-form ``lindley1`` estimator or the ``dtl`` bisection."""
+    """The sample moments admit no valid parameter vector, as a closed form or a bracket shows."""
 
 
 class CatalogError(LindleyFitError, ValueError):

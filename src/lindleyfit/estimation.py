@@ -13,10 +13,13 @@ that each piece holds at most one root, and every piece whose ends differ in
 sign is bisected (:func:`_cut_roots`); ``pld`` needs no cut.
 
 One rule judges every candidate: it must pass the family's validator, and
-its defect on each moment it matches must be within NEWTON_TOL of the
+its defect on each moment it matches must be within MOMENT_TOL of the
 target (xbar, s2 + xbar^2, xbar3).  ``lindley1`` and ``dtl`` match the mean;
 every other family as many of (mean, variance, third raw moment) as it has
-parameters.
+parameters.  A fit fails in one of two ways.  InfeasibleMomentsError is a
+certificate from a closed form or a bracket that no parameter vector of the
+family has these moments; EstimationError means that no candidate passes
+the judge.
 
 The three-parameter moment systems are genuinely multi-rooted: distinct
 positive parameter vectors can share their first three moments (at most two
@@ -41,11 +44,10 @@ from .distributions import DistributionSpec, Family
 from .errors import (
     EstimationError,
     InfeasibleMomentsError,
-    NoSolutionError,
     ParameterError,
 )
 
-NEWTON_TOL = 1e-10          # max defect on the moment equations, relative to each raw target
+MOMENT_TOL = 1e-10          # max defect on the moment equations, relative to each raw target
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,6 @@ class SolveReport:
     spec: DistributionSpec
     residuals: np.ndarray
     iterations: int
-    converged: bool
 
 
 def _one_root(*params):
@@ -118,8 +119,6 @@ def _lindley1_candidates(t: MomentTargets):
         c_hat = (1.0 - x + math.sqrt(x * x + 6.0 * x + 1.0)) / (2.0 * x)
     else:
         c_hat = 4.0 / (x - 1.0 + x * math.sqrt(1.0 + (6.0 + 1.0 / x) / x))
-    if not (0.0 < c_hat < math.inf):
-        raise NoSolutionError(f"the root c = {c_hat} for mean {x} is not a finite positive float")
     return _one_root(c_hat)
 
 
@@ -405,15 +404,12 @@ def _dtl_candidates(t: MomentTargets):
     cut, flat = mean_t(np.array([dist._DTL_ZW_MAX, 0.0]))
     if not (cut < tau < flat):
         mu0 = float(x_l + w * flat)
-        raise NoSolutionError(
+        raise InfeasibleMomentsError(
             f"mean {xbar} is outside the attainable truncated-mean range ({x_l:.6g}, {mu0:.6g})",
             best_residual=max(xbar - mu0, float(x_l + w * cut) - xbar),
         )
     lo, hi = _bisect(lambda u: mean_t(np.exp(u)) > tau, np.log(1e-300), np.log(dist._DTL_ZW_MAX))
-    c = float(np.exp(0.5 * (lo + hi))) / w
-    if not (0.0 < c < math.inf):
-        raise NoSolutionError(f"the root c for mean {xbar} on [{x_l}, {x_u}] is not a finite positive float")
-    return _one_root(c, x_l, x_u)
+    return _one_root(float(np.exp(0.5 * (lo + hi))) / w, x_l, x_u)
 
 
 _CANDIDATES = {
@@ -446,56 +442,58 @@ def _select_root(roots):
     return min(keep, key=lambda r: (r[0][-1],) + tuple(r[0][:-1]))
 
 
-def _is_params(family: Family, p) -> bool:
-    """Whether p is a finite parameter vector that the family's validator accepts."""
+def _refusal(family: Family, p) -> str:
+    """The family validator's reason for refusing parameter vector p, or "" if it accepts p."""
     try:
         DistributionSpec(family, tuple(p))
-    except ParameterError:
-        return False
-    return True
+    except ParameterError as exc:
+        return str(exc)
+    return ""
 
 
 def _moment_roots(family: Family, t: MomentTargets):
-    """Roots of the family's moment system within NEWTON_TOL, and the smallest relative defect of any candidate.
+    """Roots of the family's moment system within MOMENT_TOL, and the smallest relative defect of any candidate.
 
     Every root and probe the family supplies that is a valid parameter vector
     is evaluated with the family's own moment forms.  Its defects on the
     moments it matches, of (mean, variance, third raw moment), are taken
     relative to (xbar, s2 + xbar^2, xbar3): the systems match raw moments, so
     the variance is judged on the scale of the second raw moment.  Each root
-    comes as (params, raw defects, relative defect).
+    comes as (params, raw defects, relative defect).  Raises EstimationError,
+    with the validator's reason for a refused candidate, when no candidate is
+    valid with a finite defect.
     """
     # overflow and domain errors become NaN defects, which no pick reads
     with np.errstate(all="ignore"):
         params, root = _CANDIDATES[family](t)
-        ok = np.array([_is_params(family, p) for p in params], dtype=bool)
+        refusals = [_refusal(family, p) for p in params]
+        ok = np.array([not r for r in refusals], dtype=bool)
         params, root = params[ok], root[ok]
         k = _MATCHED.get(family, params.shape[1])
         raw = _moment_map(family)(params)[:, :k] - np.array([t.xbar, t.s2, t.xbar3])[:k]
         rel = np.abs(raw / np.array([t.xbar, t.s2 + t.xbar * t.xbar, t.xbar3])[:k]).max(axis=1)
-    roots = [(p, r, res) for p, r, res in zip(params[root], raw[root], rel[root]) if res <= NEWTON_TOL]
-    return roots, float(np.min(rel[np.isfinite(rel)], initial=math.inf))
+    finite = rel[np.isfinite(rel)]
+    if not finite.size:
+        why = next((f" ({r})" for r in refusals if r), "")
+        raise EstimationError(f"{family.value} moment solve failed: no candidate is valid with a finite defect{why}")
+    roots = [(p, r, res) for p, r, res in zip(params[root], raw[root], rel[root]) if res <= MOMENT_TOL]
+    return roots, float(finite.min())
 
 
 def estimate(family, t: MomentTargets) -> SolveReport:
     """Solve the family's moment system and report the root :func:`_select_root` picks.
 
-    Raises the family's own typed error where its closed form or bracket
-    rules the targets out, and EstimationError when no root or probe has a
-    finite defect, or no root is within NEWTON_TOL.
+    Raises InfeasibleMomentsError where the family's closed form or bracket
+    rules the targets out, and EstimationError when no candidate passes the
+    judge: none is valid with a finite defect, or no root is within MOMENT_TOL.
     """
     family = Family(family)
     roots, best_residual = _moment_roots(family, t)
-    if best_residual == math.inf:
-        raise EstimationError(
-            f"{family.value} moment solve failed: no root or probe of its 1-D reduction has a finite defect",
-            best_residual=None,
-        )
     if not roots:
         raise EstimationError(
-            f"{family.value} moment solve failed: no candidate root is within {NEWTON_TOL:g} "
+            f"{family.value} moment solve failed: no candidate root is within {MOMENT_TOL:g} "
             f"(best relative defect {best_residual:.3g})",
             best_residual=best_residual,
         )
     p, raw, _ = _select_root(roots)
-    return SolveReport(spec=DistributionSpec(family, tuple(p)), residuals=raw, iterations=0, converged=True)
+    return SolveReport(spec=DistributionSpec(family, tuple(p)), residuals=raw, iterations=0)

@@ -17,8 +17,6 @@ from lindleyfit.distributions import PARAM_NAMES, Family
 from lindleyfit.errors import (
     EstimationError,
     InfeasibleMomentsError,
-    LindleyFitError,
-    NoSolutionError,
 )
 from test_root_selection import determinacy, law_samples
 
@@ -55,7 +53,6 @@ class TestMomentTargets:
 class TestLindley1:
     def test_xbar_15_gives_c_1(self):
         r = est.estimate(Family.LINDLEY1, targets(1.5, 0.5))
-        assert r.converged
         assert r.spec.params[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_table_anchor_round_trip(self):
@@ -76,20 +73,29 @@ class TestLindley1:
     @pytest.mark.parametrize("xbar", np.geomspace(1e-11, 1e11, 45))
     def test_closed_form_matches_mean_at_every_scale(self, xbar):
         r = est.estimate(Family.LINDLEY1, targets(xbar, 0.5))
-        assert r.converged
         assert abs(lf.mean(r.spec) / xbar - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("xbar", [1e-300, 1e-200, 1e200, 1e300])
     def test_converges_at_extreme_means(self, xbar):
         r = est.estimate(Family.LINDLEY1, targets(xbar, 0.5))
-        assert r.converged
         assert lf.mean(r.spec) == pytest.approx(xbar, rel=1e-15)
 
-    @pytest.mark.parametrize("xbar", [5e-324, 1.7e308])
-    def test_unrepresentable_root_is_no_solution(self, xbar):
-        # c would be inf or 0 in double precision
-        with pytest.raises(NoSolutionError):
-            est.estimate(Family.LINDLEY1, targets(xbar, 0.5))
+    @pytest.mark.parametrize(
+        "family,moments,reason",
+        [
+            # c is inf or 0 in double precision
+            (Family.LINDLEY1, (5e-324, 0.5), r"parameters must be finite, got \(inf,\)"),
+            (Family.LINDLEY1, (1.7e308, 0.5), r"lindley1 requires c > 0, got c=0\.0"),
+            # s2/xbar^2 overflows: sigma is inf and m underflows to 0
+            (Family.LOGNORMAL, (1e-200, 1e100, 1e150), r"parameters must be finite, got \(0\.0, inf\)"),
+        ],
+        ids=["lindley1-tiny", "lindley1-huge", "lognormal"],
+    )
+    def test_unrepresentable_root_is_refused(self, family, moments, reason):
+        # the judge's validator refuses the closed form's one root and names why
+        with pytest.raises(EstimationError, match=f"{family.value} moment solve failed: .*{reason}") as err:
+            est.estimate(family, targets(*moments))
+        assert type(err.value) is EstimationError
 
 
 def _fresh_python(code):
@@ -121,7 +127,7 @@ def test_cold_fit_leaves_scipy_optimize_unloaded(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
     fits = json.loads((out / "cat_fits.json").read_text())["fits"]
     assert sorted(f["family"] for f in fits) == sorted(f.value for f in Family)
-    assert next(f for f in fits if f["family"] == "dtl")["converged"]
+    assert "error" not in next(f for f in fits if f["family"] == "dtl")
 
 
 class TestTpld:
@@ -203,11 +209,10 @@ class TestTwoParam:
         r = est.estimate(Family.PLD, t)
         np.testing.assert_allclose(r.spec.params, (1.0, 1.0), rtol=1e-8)
 
-    def test_converged_residuals_below_tolerance(self):
+    def test_root_residuals_below_tolerance(self):
         t = est.targets_from_spec(lf.nwl(0.7, 2.5))
         r = est.estimate(Family.NWL, t)
-        assert r.converged
-        assert np.max(np.abs(r.residuals)) <= est.NEWTON_TOL
+        assert np.max(np.abs(r.residuals)) <= est.MOMENT_TOL
 
     def test_random_round_trips(self):
         rng = np.random.default_rng(41)
@@ -228,7 +233,7 @@ class TestTwoParam:
         # one message and best_residual for every family
         k = len(PARAM_NAMES[family])
         monkeypatch.setitem(est._CANDIDATES, family, lambda t: (np.empty((0, k)), np.empty(0, dtype=bool)))
-        with pytest.raises(EstimationError, match="no root or probe of its 1-D reduction") as err:
+        with pytest.raises(EstimationError, match="no candidate is valid with a finite defect$") as err:
             est.estimate(family, targets(1.0, 0.5))
         assert err.value.best_residual is None
 
@@ -244,7 +249,6 @@ class TestTwoParam:
 
         monkeypatch.setattr(est, "_moment_map", counted)
         r = est.estimate(Family.PLD, law_targets("lognormal"))
-        assert r.converged
         assert (len(calls), r.iterations) == (1, 0)
 
     @pytest.mark.parametrize("family,low,high", [(Family.PLD, 0.2, 20.0), (Family.NWL, 1e-3, 1e3)])
@@ -272,7 +276,6 @@ class TestTwoParam:
         masses = 1.0 + 1e-5 * np.random.default_rng(5).standard_normal(500)
         t = est.MomentTargets.from_summary(lf.summarize(lf.MassCatalog("flat", masses)))
         r = est.estimate(family, t)
-        assert r.converged
         assert np.max(np.abs(r.residuals) / np.array([t.xbar, t.s2 + t.xbar**2])) <= 1e-14
 
 
@@ -299,7 +302,6 @@ class TestThreeParam:
                 p = rng.uniform(0.5, 6.0, size=3)
                 t = est.targets_from_spec(maker(*p))
                 r = est.estimate(fam, t)
-                assert r.converged
                 spec = r.spec
                 assert lf.mean(spec) == pytest.approx(t.xbar, abs=1e-9)
                 assert lf.variance(spec) == pytest.approx(t.s2, abs=1e-9)
@@ -340,15 +342,14 @@ class TestThreeParam:
     def test_failing_gld_fit_reports_its_relative_defect(self):
         with pytest.raises(EstimationError, match="best relative defect") as err:
             est.estimate(Family.GLD, law_targets("lognormal"))
-        assert est.NEWTON_TOL < err.value.best_residual < math.inf
+        assert est.MOMENT_TOL < err.value.best_residual < math.inf
 
     def test_ngld_reaches_narrow_sample_roots(self):
         # a narrow sample puts the root at c ~ 1e9
         t = targets(1.0, 1e-9, 1.0 + 3e-9)
         r = est.estimate(Family.NGLD, t)
-        assert r.converged
         assert r.spec.params[2] > 1e6
-        assert np.all(np.abs(r.residuals) <= est.NEWTON_TOL * np.array([t.xbar, t.s2 + t.xbar**2, t.xbar3]))
+        assert np.all(np.abs(r.residuals) <= est.MOMENT_TOL * np.array([t.xbar, t.s2 + t.xbar**2, t.xbar3]))
 
     def test_ngld_canonical_root(self):
         # its targets have another exact root, at c = 6.10
@@ -398,7 +399,7 @@ class TestThreeParam:
         assert {1, 2} <= sizes
 
     def test_gld_near_miss_reports_its_relative_defect(self):
-        # an exact root's targets with m3 off by 1e-9: no candidate is within NEWTON_TOL
+        # an exact root's targets with m3 off by 1e-9: no candidate is within MOMENT_TOL
         t = est.targets_from_spec(lf.gld(500.0, 1e3, 1e3 * 0.001 / 0.999))
         t = targets(t.xbar, t.s2, t.xbar3 * (1.0 + 1e-9))
         with pytest.raises(EstimationError, match="best relative defect") as err:
@@ -447,7 +448,7 @@ class TestDtl:
 
     def test_mean_outside_attainable_range(self):
         # mean almost at the upper bound needs c below the bracket
-        with pytest.raises(NoSolutionError):
+        with pytest.raises(InfeasibleMomentsError):
             est.estimate(Family.DTL, targets(2.999999, 0.1, x_min=0.1, x_max=3.0))
 
     @pytest.mark.parametrize("window", DTL_WINDOWS)
@@ -462,7 +463,6 @@ class TestDtl:
                 c / 4.0, c * 4.0, xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=500,
             )
             r = est.estimate(Family.DTL, targets(xbar, 0.1, x_min=x_l, x_max=x_u))
-            assert r.converged
             assert r.iterations <= 30
             assert r.spec.params == pytest.approx((want, x_l, x_u), rel=1e-12, abs=0.0)
 
@@ -474,7 +474,6 @@ class TestDtl:
         # as one ulp of xbar pins it
         xbar = lf.mean(lf.dtl(c, x_l, x_u))
         r = est.estimate(Family.DTL, targets(xbar, 0.1, x_min=x_l, x_max=x_u))
-        assert r.converged
         assert r.iterations <= 8
         c_hat = r.spec.params[0]
         assert c_hat == pytest.approx(ref.dtl_mean_root(xbar, x_l, x_u, c), rel=1e-12, abs=0.0)
@@ -487,29 +486,27 @@ class TestDtl:
         lo, hi = 0.2 ** -1.35, 40.0 ** -1.35
         m = (lo + u * (hi - lo)) ** (-1.0 / 1.35) * unit
         r = est.estimate(Family.DTL, targets(float(np.mean(m)), 0.1, x_min=float(m.min()), x_max=float(m.max())))
-        assert r.converged
         assert abs(lf.mean(r.spec) / np.mean(m) - 1.0) <= 1e-12
 
     def test_unattainable_mean_names_the_interval(self):
         # on [1, 3] the c -> 0+ mean is (2 + 13/3)/3 = 19/9
-        with pytest.raises(NoSolutionError, match=r"\(1, 2\.11111\)"):
+        with pytest.raises(InfeasibleMomentsError, match=r"\(1, 2\.11111\)"):
             est.estimate(Family.DTL, targets(2.2, 0.1, x_min=1.0, x_max=3.0))
         r = est.estimate(Family.DTL, targets(2.1, 0.1, x_min=1.0, x_max=3.0))
-        assert r.converged
 
     def test_unrepresentable_root_or_moments(self):
         # c, about 1/(xbar - x_l), is past the largest double
-        with pytest.raises(NoSolutionError):
+        with pytest.raises(EstimationError, match="parameters must be finite") as err:
             est.estimate(Family.DTL, targets(5e-324, 1.0, x_min=0.0, x_max=2e-323))
+        assert type(err.value) is EstimationError
         # the second moment of masses near 1e200 is past it, but the mean match needs only the mean
         r = est.estimate(Family.DTL, targets(5e200, 1.0, x_min=1e200, x_max=1e201))
-        assert r.converged
         assert abs(lf.mean(r.spec) / 5e200 - 1.0) <= 1e-12
 
     def test_mean_below_the_window_cut(self):
         # (xbar - x_l)/w = 1e-60 is below E[T] at c w = 1e50, where the window
         # is cut; a sample of n points has (xbar - x_l)/w >= 1/n
-        with pytest.raises(NoSolutionError, match=r"\(0, 0\.555556\)") as err:
+        with pytest.raises(InfeasibleMomentsError, match=r"\(0, 0\.555556\)") as err:
             est.estimate(Family.DTL, targets(1e-60, 1.0, x_min=0.0, x_max=1.0))
         assert 0.0 < err.value.best_residual < 1e-49
 
@@ -518,7 +515,7 @@ class TestDtl:
         sample=st.lists(st.floats(min_value=1e-2, max_value=1e2), min_size=2, max_size=40),
         k=st.integers(min_value=-100, max_value=100),
     )
-    def test_any_unit_ends_in_a_fit_or_no_solution(self, sample, k):
+    def test_any_unit_ends_in_a_fit_or_typed_error(self, sample, k):
         x = np.array(sample) * 10.0**k
         x_l, x_u = float(x.min()), float(x.max())
         assume(x_l < x_u)
@@ -530,12 +527,12 @@ class TestDtl:
         edge = abs(Fraction(xbar) / mu0 - 1) <= Fraction(1, 10**14)
         try:
             r = est.estimate(Family.DTL, targets(xbar, 1.0, x_min=x_l, x_max=x_u))
-        except NoSolutionError:
-            # the interval's ends are known to rounding only
+        except EstimationError as exc:
+            # only an unattainable mean is refused; the interval's ends are known to rounding only
+            assert type(exc) is InfeasibleMomentsError
             assert xbar <= x_l or xbar >= mu0 or edge
             return
         assert x_l < xbar < mu0 or edge
-        assert r.converged
         assert abs(lf.mean(r.spec) / xbar - 1.0) <= 1e-12
 
 
@@ -558,7 +555,6 @@ class TestLognormal:
         # m = 1e-250, sigma = 26.28: e^(s2) expm1(s2) is 1e600, the variance 1e100
         t = targets(1e-100, 1e100, 1e120)
         r = est.estimate(Family.LOGNORMAL, t)
-        assert r.converged
         assert np.all(np.abs(r.residuals) <= 1e-12 * np.array([t.xbar, t.s2]))
 
 
@@ -573,7 +569,6 @@ def test_closed_forms_converge_relative_to_the_targets(family, scale):
         return t, est.estimate(family, t)
 
     t, r = fit(scale)
-    assert r.converged
     assert np.all(np.abs(r.residuals) <= 1e-13 * np.array([t.xbar, t.s2])), r.residuals
     # both are scale families: tpld's (b, c) scale as (k, 1/k), lognormal's (m, sigma) as (k, 1)
     per_unit = [scale, 1.0 / scale] if family is Family.TPLD else [scale, 1.0]
@@ -587,7 +582,7 @@ def test_extreme_targets_end_in_report_or_typed_error(family, moments):
     # suite's warning filter makes a leaked RuntimeWarning an error
     try:
         r = est.estimate(family, targets(*moments))
-    except LindleyFitError:
+    except EstimationError:
         return
     assert isinstance(r, est.SolveReport)
 
@@ -604,12 +599,11 @@ class TestDispatch:
             spec = random_spec(fam, rng, nonneg=True)
             r = est.estimate(fam, est.targets_from_spec(spec))
             assert r.spec.family is fam
-            assert r.converged
 
     def test_round_trip_residuals_are_small(self):
         t = est.targets_from_spec(lf.gld(2.0, 3.0, 0.5))
         r = est.estimate(Family.GLD, t)
-        assert np.max(np.abs(r.residuals)) <= est.NEWTON_TOL
+        assert np.max(np.abs(r.residuals)) <= est.MOMENT_TOL
 
     # a table anchor of each family, and how many moments its fit matches
     MATCHED = {
@@ -627,7 +621,7 @@ class TestDispatch:
     def test_report_has_one_defect_per_matched_moment(self, family):
         params, k = self.MATCHED[family]
         r = est.estimate(family, est.targets_from_spec(lf.DistributionSpec(family, params)))
-        assert (r.spec.family, len(r.residuals), r.converged, r.iterations) == (family, k, True, 0)
+        assert (r.spec.family, len(r.residuals), r.iterations) == (family, k, 0)
 
 
 # log-uniform parameter ranges and the numpy seed of each population sweep
@@ -648,7 +642,6 @@ def test_population_targets_are_fitted(family):
     for p in np.exp(np.random.default_rng(seed).uniform(low, high, size=(300, len(ranges)))):
         t = est.targets_from_spec(lf.DistributionSpec(family, tuple(p)))
         r = est.estimate(family, t)
-        assert r.converged
         if len(p) == 3 and r.spec.params[2] < p[2]:
             continue   # another exact root, with smaller c
         # the parameters as far as the targets' own rounding (1e-15 relative) pins them
@@ -697,12 +690,11 @@ def test_estimators_end_in_report_or_typed_error(family, log_xbar, log_ratio, lo
     try:
         t = est.MomentTargets(xbar=xbar, s2=s2, xbar3=xbar3)
         r = est.estimate(family, t)
-    except LindleyFitError:
+    except EstimationError:
         return
     assert isinstance(r, est.SolveReport)
-    assert r.converged
     scale = np.array([t.xbar, t.s2 + t.xbar * t.xbar, t.xbar3])[: len(r.residuals)]
-    assert np.max(np.abs(r.residuals) / scale) <= est.NEWTON_TOL
+    assert np.max(np.abs(r.residuals) / scale) <= est.MOMENT_TOL
 
 
 @pytest.mark.parametrize("log_ratio,log_skew", [(0.0, 0.5), (0.0, 1.0), (-2.0, 0.5)])
@@ -712,5 +704,4 @@ def test_ngld_fits_at_mean_1e100(log_ratio, log_skew):
     xbar, s2 = 1e100, 10.0 ** (log_ratio + 200.0)
     t = targets(xbar, s2, 10.0 ** (log_skew + 100.0 + math.log10(s2 + xbar * xbar)))
     r = est.estimate(Family.NGLD, t)
-    assert r.converged
-    assert np.max(np.abs(r.residuals) / np.array([t.xbar, t.s2 + t.xbar**2, t.xbar3])) <= est.NEWTON_TOL
+    assert np.max(np.abs(r.residuals) / np.array([t.xbar, t.s2 + t.xbar**2, t.xbar3])) <= est.MOMENT_TOL
