@@ -37,10 +37,9 @@ def main() -> int:
     for spec in CASES:
         draws = lf.sample(spec, args.n, args.seed)
         cat = lf.MassCatalog(spec.family.value, draws)
-        targets = estimation.MomentTargets.from_summary(lf.summarize(cat))
         gen = ", ".join(f"{k}={v:.4g}" for k, v in spec.param_dict().items())
         try:
-            solve = estimation.estimate(spec.family, targets)
+            solve = estimation.estimate(spec.family, lf.summarize(cat))
         except LindleyFitError as exc:
             # sampling noise can push moments off the family's attainable
             # set; report and move on

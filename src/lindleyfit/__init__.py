@@ -1,6 +1,6 @@
 """Lindley-family distributions, moment estimators and goodness-of-fit tools."""
 
-from .catalog import MassCatalog, SampleSummary, load_csv, summarize
+from .catalog import MassCatalog, load_csv, summarize
 from .distributions import (
     DistributionSpec,
     Family,

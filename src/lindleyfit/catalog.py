@@ -1,9 +1,10 @@
-"""Catalog ingestion and sample statistics.
+"""Catalog ingestion and sample moments.
 
 Reads star-mass CSV exports (comma separated, optional header row, '#'
-comment lines skipped, column picked by name or zero-based index) and
-computes the sample mean, unbiased variance, raw moments and order-statistic
-extremes used by the estimators.
+comment lines skipped, column picked by name or zero-based index) into a
+:class:`MassCatalog`, and :func:`summarize` reduces a catalog to the
+:class:`MomentTargets` the estimators match: the sample mean, unbiased
+variance, third raw moment and extremes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CatalogError, DegenerateSampleError, DomainError
+from .errors import CatalogError, DegenerateSampleError, DomainError, InfeasibleMomentsError
 
 
 class CatalogWarning(UserWarning):
@@ -44,13 +45,26 @@ class MassCatalog:
 
 
 @dataclass(frozen=True)
-class SampleSummary:
-    n: int
+class MomentTargets:
+    """Sample moments an estimator must match."""
+
     xbar: float
     s2: float
-    raw_moments: tuple[float, float, float]
-    x_min: float
-    x_max: float
+    xbar3: float
+    x_min: float = 0.0
+    x_max: float = math.inf
+
+    def __post_init__(self):
+        if not (self.xbar > 0 and math.isfinite(self.xbar)):
+            raise InfeasibleMomentsError(f"sample mean must be positive, got {self.xbar}")
+        if not (self.s2 > 0 and math.isfinite(self.s2)):
+            raise InfeasibleMomentsError(f"sample variance must be positive, got {self.s2}")
+        if not (self.xbar3 > 0 and math.isfinite(self.xbar3)):
+            raise InfeasibleMomentsError(f"third raw moment must be positive, got {self.xbar3}")
+        if not (self.x_min <= self.xbar <= self.x_max):
+            raise InfeasibleMomentsError(
+                f"need x_min <= xbar <= x_max, got {self.x_min}, {self.xbar}, {self.x_max}"
+            )
 
 
 def load_csv(path, column=0, name: str | None = None) -> MassCatalog:
@@ -131,17 +145,23 @@ def load_csv(path, column=0, name: str | None = None) -> MassCatalog:
     return MassCatalog(name=name, masses=np.asarray(masses, dtype=float))
 
 
-def summarize(cat: MassCatalog) -> SampleSummary:
-    """Sample mean, unbiased variance, raw moments of orders 1-3, and extremes.
+def summarize(cat: MassCatalog) -> MomentTargets:
+    """The catalog's sample mean, unbiased variance, third raw moment and extremes.
 
-    A raw moment that overflows to inf or underflows to 0 in double precision
-    (masses above about 5.6e102 or below about 1e-108 for the third) raises
-    :class:`DomainError` naming that moment.
+    The variance takes two passes over the masses and each raw moment is the
+    mean of the masses' powers.  A catalog of one mass, or of one mass
+    repeated, raises :class:`DegenerateSampleError`.  A raw moment of order
+    1-3 that overflows to inf or underflows to 0 in double precision (masses
+    above about 5.6e102 or below about 1e-108 for the third) raises
+    :class:`DomainError` naming that moment.  Moments that
+    :class:`MomentTargets` refuses, such as a mean rounded past an extreme,
+    raise its :class:`InfeasibleMomentsError`.
     """
     m = cat.masses
     n = m.size
-    if n < 2:
-        raise DegenerateSampleError("summary of a single observation has no variance")
+    x_min, x_max = float(np.min(m)), float(np.max(m))
+    if x_min == x_max:
+        raise DegenerateSampleError(f"{cat.name}: every mass equals {x_min!r}, so the sample has no variance")
     with np.errstate(over="ignore", under="ignore"):
         xbar = float(np.mean(m))
         s2 = float(np.sum((m - xbar) ** 2) / (n - 1))
@@ -150,11 +170,4 @@ def summarize(cat: MassCatalog) -> SampleSummary:
         if not 0.0 < value < math.inf:
             how = "overflows to inf" if value else "underflows to 0"
             raise DomainError(f"{cat.name}: the {order} raw moment of the masses {how} in double precision")
-    return SampleSummary(
-        n=int(n),
-        xbar=xbar,
-        s2=s2,
-        raw_moments=raw,
-        x_min=float(np.min(m)),
-        x_max=float(np.max(m)),
-    )
+    return MomentTargets(xbar=xbar, s2=s2, xbar3=raw[2], x_min=x_min, x_max=x_max)

@@ -88,14 +88,13 @@ def _parse_families(text: str) -> tuple[Family, ...]:
 
 
 def _load_targets(config: RunConfig, path: str):
-    """The catalog at ``path`` (column by index or header name), its summary and its moment targets."""
+    """The catalog at ``path`` (column by index or header name) and its moment targets."""
     cat = load_csv(path, column=config.column)
-    summ = summarize(cat)
-    return cat, summ, estimation.MomentTargets.from_summary(summ)
+    return cat, summarize(cat)
 
 
 def _fit_catalog(config: RunConfig, path: str) -> dict:
-    cat, summ, targets = _load_targets(config, path)
+    cat, targets = _load_targets(config, path)
     fits = []
     for family in config.families:
         entry: dict = {"family": family.value}
@@ -122,11 +121,11 @@ def _fit_catalog(config: RunConfig, path: str) -> dict:
     return {
         "catalog": cat.name,
         "path": str(path),
-        "n": summ.n,
-        "x_min": summ.x_min,
-        "x_max": summ.x_max,
-        "xbar": summ.xbar,
-        "s2": summ.s2,
+        "n": cat.n,
+        "x_min": targets.x_min,
+        "x_max": targets.x_max,
+        "xbar": targets.xbar,
+        "s2": targets.s2,
         "n_bins": config.n_bins,
         "fits": fits,
         "best": best,
@@ -244,7 +243,7 @@ def cmd_plotdata(config: RunConfig, family: Family) -> int:
 
 def _plot_catalog(config: RunConfig, family: Family, path: str) -> bool:
     """Write one catalog's four plot CSVs; False when the family does not fit it."""
-    cat, summ, targets = _load_targets(config, path)
+    cat, targets = _load_targets(config, path)
     try:
         solve = estimation.estimate(family, targets)
     except LindleyFitError as exc:
@@ -263,7 +262,7 @@ def _plot_catalog(config: RunConfig, family: Family, path: str) -> bool:
         zip(hist.edges[:-1], hist.edges[1:], density),
     )
 
-    grid = np.linspace(summ.x_min, summ.x_max, 512)
+    grid = np.linspace(targets.x_min, targets.x_max, 512)
     _write_columns(out / f"{stem}_pdf.csv", ("x", "pdf"), zip(grid, np.atleast_1d(dist.pdf(spec, grid))))
     _write_columns(out / f"{stem}_cdf.csv", ("x", "cdf"), zip(grid, np.atleast_1d(dist.cdf(spec, grid))))
 

@@ -40,6 +40,7 @@ from numpy.polynomial import Polynomial, polynomial
 from scipy import special
 
 from . import distributions as dist
+from .catalog import MomentTargets
 from .distributions import DistributionSpec, Family
 from .errors import (
     EstimationError,
@@ -48,40 +49,6 @@ from .errors import (
 )
 
 MOMENT_TOL = 1e-10          # max defect on the moment equations, relative to each raw target
-
-
-@dataclass(frozen=True)
-class MomentTargets:
-    """Sample moments an estimator must match."""
-
-    xbar: float
-    s2: float
-    xbar3: float
-    x_min: float = 0.0
-    x_max: float = math.inf
-
-    def __post_init__(self):
-        if not (self.xbar > 0 and math.isfinite(self.xbar)):
-            raise InfeasibleMomentsError(f"sample mean must be positive, got {self.xbar}")
-        if not (self.s2 > 0 and math.isfinite(self.s2)):
-            raise InfeasibleMomentsError(f"sample variance must be positive, got {self.s2}")
-        if not (self.xbar3 > 0 and math.isfinite(self.xbar3)):
-            raise InfeasibleMomentsError(f"third raw moment must be positive, got {self.xbar3}")
-        if not (self.x_min <= self.xbar <= self.x_max):
-            raise InfeasibleMomentsError(
-                f"need x_min <= xbar <= x_max, got {self.x_min}, {self.xbar}, {self.x_max}"
-            )
-
-    @classmethod
-    def from_summary(cls, summary) -> "MomentTargets":
-        """Build targets from a :class:`~lindleyfit.catalog.SampleSummary`."""
-        return cls(
-            xbar=summary.xbar,
-            s2=summary.s2,
-            xbar3=summary.raw_moments[2],
-            x_min=summary.x_min,
-            x_max=summary.x_max,
-        )
 
 
 def targets_from_spec(spec: DistributionSpec) -> MomentTargets:

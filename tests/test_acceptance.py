@@ -209,7 +209,7 @@ def test_criterion_4_published_anchor_round_trips():
 def test_criterion_4_catalog_reproduction():
     """With the real NGC 6611 export present, reproduce its published fits."""
     cat = lf.load_csv(CATALOG_DIR / "ngc6611.csv")
-    t = est.MomentTargets.from_summary(lf.summarize(cat))
+    t = lf.summarize(cat)
 
     one = est.estimate(Family.LINDLEY1, t)
     rep1 = gof.full_report(cat.masses, one.spec, 20)

@@ -11,7 +11,8 @@ import lindleyfit as lf
 from conftest import checkout_env
 from lindleyfit import cli
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def run(capsys, *argv):
@@ -173,6 +174,18 @@ class TestFit:
         assert lines[1].startswith("error:") and "nope.csv" in lines[1], err
         assert stdout.startswith("catalog synth:") and "best fit: lindley1" in stdout
 
+    def test_constant_catalog_does_not_stop_the_others(self, synth_csv, tmp_path, capsys):
+        const, gamma = tmp_path / "const.csv", tmp_path / "gamma.csv"
+        const.write_text("mass\n0.1\n0.1\n0.1\n")
+        gamma.write_text("".join(f"{m!r}\n" for m in np.random.default_rng(2).gamma(2.0, size=200).tolist()))
+        code, stdout, err = run(capsys, "fit", "--input", str(synth_csv), "--input", str(const),
+                                "--input", str(gamma), "--families", "lindley1")
+        assert code == 2
+        assert err == "error: const: every mass equals 0.1, so the sample has no variance\n"
+        tables = stdout.split("\n\n")
+        assert [t.split(":")[0] for t in tables if t] == ["catalog synth", "catalog gamma"], stdout
+        assert all("best fit: lindley1" in t for t in tables if t)
+
     @pytest.fixture()
     def two_column_csv(self, tmp_path):
         masses = np.random.default_rng(2).gamma(2.0, size=200).tolist()
@@ -299,3 +312,13 @@ class TestScripts:
 
     def test_synth_roundtrip(self):
         self.run_script("synth_roundtrip.py", "--n", "500", "--seed", "3")
+
+
+def test_readme_quick_tour():
+    """The README's library quick tour runs in a fresh interpreter where every warning is an error."""
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "lf.summarize(cat)" in tour
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", tour],
+                          capture_output=True, text=True, env=checkout_env())
+    assert proc.returncode == 0, proc.stderr

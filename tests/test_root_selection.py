@@ -120,7 +120,7 @@ def cases(three_param_draws):
         specs = [lf.DistributionSpec(fam, p) for p in TABLE_ANCHORS[fam]]
         out += [("anchors", fam, est.targets_from_spec(s)) for s in specs]
     for law, masses in law_samples().items():
-        t = est.MomentTargets.from_summary(lf.summarize(lf.MassCatalog(law, masses)))
+        t = lf.summarize(lf.MassCatalog(law, masses))
         out += [(f"law-{law}", fam, t) for fam in SCANNED]
     return out
 
