@@ -150,12 +150,11 @@ def summarize(cat: MassCatalog) -> MomentTargets:
 
     The variance takes two passes over the masses and each raw moment is the
     mean of the masses' powers.  A catalog of one mass, or of one mass
-    repeated, raises :class:`DegenerateSampleError`.  A raw moment of order
-    1-3 that overflows to inf or underflows to 0 in double precision (masses
-    above about 5.6e102 or below about 1e-108 for the third) raises
-    :class:`DomainError` naming that moment.  Moments that
-    :class:`MomentTargets` refuses, such as a mean rounded past an extreme,
-    raise its :class:`InfeasibleMomentsError`.
+    repeated, raises :class:`DegenerateSampleError`, and so does one whose
+    masses are too close to tell apart, so that their mean rounds past an
+    extreme.  A raw moment of order 1-3 that overflows to inf or underflows to
+    0 in double precision (masses above about 5.6e102 or below about 1e-108
+    for the third) raises :class:`DomainError` naming that moment.
     """
     m = cat.masses
     n = m.size
@@ -170,4 +169,9 @@ def summarize(cat: MassCatalog) -> MomentTargets:
         if not 0.0 < value < math.inf:
             how = "overflows to inf" if value else "underflows to 0"
             raise DomainError(f"{cat.name}: the {order} raw moment of the masses {how} in double precision")
+    if not x_min <= xbar <= x_max:
+        raise DegenerateSampleError(
+            f"{cat.name}: the masses are too close to tell apart: their mean {xbar!r} rounds outside "
+            f"[{x_min!r}, {x_max!r}]"
+        )
     return MomentTargets(xbar=xbar, s2=s2, xbar3=raw[2], x_min=x_min, x_max=x_max)

@@ -23,10 +23,9 @@ the judge.
 
 The three-parameter moment systems are genuinely multi-rooted: distinct
 positive parameter vectors can share their first three moments (at most two
-for ``gld`` and seven for ``ngld``).  All roots found are collected and
-the reported one is chosen by a fixed convention (smallest residual-feasible
-root by third parameter ``c``, then lexicographically), which matches the
-published fits.
+for ``gld`` and seven for ``ngld``).  Every root the judge accepts is
+collected, and the reported one is the one with the smallest last parameter
+``c`` (then the lexicographically smallest), which matches the published fits.
 """
 
 from __future__ import annotations
@@ -396,17 +395,8 @@ _MATCHED = {Family.DTL: 1}
 
 
 def _select_root(roots):
-    """Smallest-residual class first, then smallest c, then lexicographic.
-
-    Exact roots of a multi-rooted system can differ in their last-bit defect;
-    keeping only the best residual class (within a factor of 1e3, or below
-    1e-14 of the targets) separates exact roots from candidates that merely
-    pass the tolerance, such as noise roots of a near-constant sample,
-    without ranking exact roots by rounding.
-    """
-    res_min = min(r[-1] for r in roots)
-    keep = [r for r in roots if r[-1] <= max(res_min * 1e3, 1e-14)]
-    return min(keep, key=lambda r: (r[0][-1],) + tuple(r[0][:-1]))
+    """The smallest c, then the lexicographically smallest vector: the published fits' convention."""
+    return min(roots, key=lambda r: (r[0][-1],) + tuple(r[0][:-1]))
 
 
 def _refusal(family: Family, p) -> str:

@@ -417,15 +417,6 @@ def gld_hazard(x, a, b, c, whittaker=_whit):
     return num / den
 
 
-def gld_third_moment(a, b, c):
-    return math.gamma(3.0 + a) * (a * b + a * c + 3.0 * c) / ((c + b) * math.gamma(a + 1.0) * b**3)
-
-
-def ngld_third_moment(a, b, c):
-    G = math.gamma
-    return (G(3.0 + a) * G(b) * c + G(3.0 + b) * G(a)) / (c**3 * (1.0 + c) * G(a) * G(b))
-
-
 # -- moment-system root enumeration ------------------------------------------
 #
 # Both three-parameter families are finite mixtures of two gamma components,

@@ -86,12 +86,22 @@ class TestSummarize:
         s = summarize(MassCatalog("toy", np.array([1.0, 2.0, 3.0])))
         assert s == lf.MomentTargets(xbar=2.0, s2=1.0, xbar3=12.0, x_min=1.0, x_max=3.0)
 
-    @pytest.mark.parametrize("value,n", [(0.7, 2), (0.1, 3), (1.0 / 3.0, 7)])
-    def test_constant_sample_is_degenerate(self, value, n):
+    @pytest.mark.parametrize(
+        "masses,why",
+        [
+            ([0.7] * 2, "every mass equals 0.7"),
+            ([0.1] * 3, "every mass equals 0.1"),
+            ([1.0 / 3.0] * 7, f"every mass equals {1.0 / 3.0!r}"),
+            ([0.1] * 6 + [0.10000000000000002], "the masses are too close to tell apart"),
+        ],
+        ids=["0.7x2", "0.1x3", "third-x7", "near-0.1x7"],
+    )
+    def test_constant_sample_is_degenerate(self, masses, why):
         # the rounded moments differ: s2 = 0 for 0.7 x 2, but s2 = 2.9e-34 and xbar
-        # one ulp above x_max for 0.1 x 3; the extremes alone decide
-        with pytest.raises(DegenerateSampleError, match=f"const: every mass equals {value!r}"):
-            summarize(MassCatalog("const", np.full(n, value)))
+        # one ulp above x_max for 0.1 x 3; the extremes alone decide.  Six masses
+        # of 0.1 and one of 0.10000000000000002 have a mean one ulp below x_min
+        with pytest.raises(DegenerateSampleError, match=f"const: {why}"):
+            summarize(MassCatalog("const", np.array(masses)))
 
     def test_single_value_degenerate(self):
         with pytest.raises(DegenerateSampleError):

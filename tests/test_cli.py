@@ -299,7 +299,7 @@ class TestScripts:
             [sys.executable, "-W", "error", str(SCRIPTS / name), *args],
             capture_output=True, text=True, env=checkout_env(),
         )
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
         # one table row per family, named in its first column
         rows = Counter(line.split()[0] for line in proc.stdout.splitlines() if line.strip())
         assert all(rows[f.value] == 1 for f in lf.Family), proc.stdout

@@ -261,9 +261,8 @@ class TestTwoParam:
     @pytest.mark.parametrize("family", [Family.PLD, Family.TPLD], ids=lambda f: f.value)
     def test_near_constant_pld_sample_gets_an_exact_root(self, family):
         # the variance is 1e-10 of m2, so an absolute 1e-10 tolerance accepted
-        # any pld c from 1e5 to 4e8, and noise roots (relative defect near
-        # 1e-10) fall outside the best-residual class; the variance is judged
-        # on the scale of m2, so tpld's closed form converges here as pld does
+        # any pld c from 1e5 to 4e8; the variance is judged on the scale of
+        # m2, so tpld's closed form converges here as pld does
         masses = 1.0 + 1e-5 * np.random.default_rng(5).standard_normal(500)
         t = lf.summarize(lf.MassCatalog("flat", masses))
         r = est.estimate(family, t)
