@@ -315,10 +315,12 @@ def _sample_mixture(mix, rng, n, *params):
     if w1 < 0.0 or w2 < 0.0:
         # only tpld with b < 0 has a negative weight
         raise DomainError(f"tpld with b < 0 has a signed density and cannot be sampled, got b={params[0]}")
-    pick = rng.uniform(size=n)
-    first = rng.gamma(s1, 1.0 / rate, size=n)
-    second = rng.gamma(s2, 1.0 / rate, size=n)
-    return np.where(pick < w1, first, second)
+    pick = rng.uniform(size=n) < w1
+    k = int(np.count_nonzero(pick))
+    out = np.empty(n)
+    out[pick] = rng.standard_gamma(s1, k)
+    out[~pick] = rng.standard_gamma(s2, n - k)
+    return out * (1.0 / rate)
 
 
 # --------------------------------------------------------------------------
@@ -834,12 +836,14 @@ def sample(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
 
     Every family draws directly from numpy's generator seeded with ``seed``:
     ``lindley1``, ``tpld`` (b >= 0), ``gld`` and ``ngld`` are two-component
-    gamma mixtures; ``pld`` is a power of a ``lindley1`` draw; ``nwl`` is a
-    gamma mixture over its rate; ``dtl`` mixes an exponential and a Gamma(2)
-    each truncated to the window by exact inversion; ``lognormal`` is
-    ``m * exp(sigma * Z)``.  ``n`` must be an integer >= 1 and ``seed`` an
-    integer >= 0 (``bool`` is rejected for both).  ``tpld`` with b < 0 has a
-    signed density and raises :class:`DomainError`.
+    gamma mixtures, each position drawing one uniform to pick its component
+    and then a variate of the picked component only; ``pld`` is a power of
+    a ``lindley1`` draw; ``nwl`` is a gamma mixture over its rate; ``dtl``
+    mixes an exponential and a Gamma(2) each truncated to the window by
+    exact inversion; ``lognormal`` is ``m * exp(sigma * Z)``.  ``n`` must be
+    an integer >= 1 and ``seed`` an integer >= 0 (``bool`` is rejected for
+    both).  ``tpld`` with b < 0 has a signed density and raises
+    :class:`DomainError`.
     """
     _check_count("n", n, 1)
     _check_count("seed", seed, 0)

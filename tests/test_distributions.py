@@ -708,10 +708,10 @@ class TestSampling:
         assert d < 1.36 / math.sqrt(draws.size)
 
     def test_lindley1_stream_frozen(self):
-        # first draws of the bisection-era sampler; the lindley1 stream must not move
+        # first draws of the mixture sampler that draws only each position's picked component
         golden = [
-            1.111845242979216, 0.24949846848328783, 0.8913481673734877, 1.045248096651664,
-            0.26292938209578726, 0.5743193047045642, 1.146052240296571, 0.7739977777112063,
+            0.6898360255545396, 0.02377544866729104, 1.1100853324276434, 1.4189106458962428,
+            0.24949846848328783, 3.5187739399864637, 0.7688063019435512, 1.8631976000489074,
         ]
         np.testing.assert_array_equal(lf.sample(lf.lindley1(2.0), 1000, 42)[:8], golden)
 
@@ -719,20 +719,20 @@ class TestSampling:
         "spec,golden",
         [
             (lf.tpld(0.5, 2.0), [
-                1.111845242979216, 0.24949846848328783, 0.8913481673734877, 1.045248096651664,
-                0.26292938209578726, 0.5743193047045642, 1.146052240296571, 0.7739977777112063,
+                0.9095071152869626, 0.02377544866729104, 1.4428023184076528, 1.5383262604169043,
+                0.24949846848328783, 1.0637727529580685, 0.49546300284065725, 0.49261724017501535,
             ]),
             (lf.pld(2.66, 2.28), [
-                0.9244299166846813, 0.47999332105620535, 0.8390156451046286, 0.3326121826199671,
-                0.4911595342552173, 0.6919020821544736, 0.936797996562411, 0.7886435099168232,
+                1.3782768710328535, 0.171180724359666, 0.8872640852270559, 0.47999332105620535,
+                0.26806862494734957, 0.7695431668641205, 0.25398090230000797, 0.7834372627218648,
             ]),
             (lf.gld(2.0, 3.0, 0.5), [
-                0.5178292947351899, 0.4755535296158748, 0.1588686585872165, 1.4198948744681594,
-                0.43392222188870444, 1.389092296294214, 1.5913649886451005, 2.349528440593091,
+                1.5850104497816464, 0.46691349936634335, 0.04717923547209446, 0.9732234318577719,
+                0.5430052783767533, 0.6704499666924444, 0.5456172167455333, 0.9910670517012934,
             ]),
             (lf.ngld(2.0, 3.0, 1.5), [
-                5.855993725325481, 1.141167280627153, 5.714473876140369, 1.4382773542115228,
-                0.4341325135527388, 0.5690375320953782, 1.3202913066148732, 3.1999840996834275,
+                1.588620303357453, 0.5869254438024339, 1.5536889299698253, 1.2527199999545182,
+                1.141167280627153, 1.8784717853257829, 3.2331686825773787, 1.3259823095639591,
             ]),
             (lf.nwl(1.57, 3.77), [
                 0.3405589694537106, 0.10432944454490259, 0.45545490913133435, 0.23311169177654714,
@@ -754,8 +754,20 @@ class TestSampling:
         ids=str,
     )
     def test_mixture_streams_frozen(self, spec, golden):
-        # first draws of the per-family samplers; the shared mixture sampler must not move them
+        # first draws of the per-family samplers: the nwl and dtl streams date from their own
+        # samplers, the four mixtures' from the sampler that draws only the picked component
         np.testing.assert_array_equal(lf.sample(spec, 1000, 42)[:8], golden)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixture_draw_comes_from_its_own_pick(self, seed):
+        # ngld(1000, 0.01, 1) mixes Gamma(1000) and Gamma(0.01) with weight 1/2, and 100
+        # separates them (each tail past it is below 1e-40), so every position must hold a
+        # draw of the component its own uniform picked: no sort or concatenation of the
+        # two components passes
+        n = 10_000
+        draws = lf.sample(lf.ngld(1000.0, 0.01, 1.0), n, seed)
+        picked_first = np.random.default_rng(seed).uniform(size=n) < 0.5
+        np.testing.assert_array_equal(draws > 100.0, picked_first)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("spec", [s for s in SAMPLER_SPECS if s.family is Family.DTL], ids=str)
