@@ -23,7 +23,8 @@ the judge.
 
 The three-parameter moment systems are genuinely multi-rooted: distinct
 positive parameter vectors can share their first three moments (at most two
-for ``gld`` and seven for ``ngld``).  Every root the judge accepts is
+for ``gld``, and five for ``ngld``, whose system eliminates exactly to a
+quintic in c).  Every root the judge accepts is
 collected, and the reported one is the one with the smallest last parameter
 ``c`` (then the lexicographically smallest), which matches the published fits.
 """

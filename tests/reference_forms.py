@@ -7,17 +7,19 @@ mpmath, an implementation independent of the package.  They cancel badly at
 large rate*x, which is exactly why the shipped code uses incomplete-gamma
 compositions instead; at the moderate arguments used in tests both agree to
 ~1e-10.  Also provides a Gamma(2) quantile oracle, the dtl sampler as it
-stood with scipy's gammaincinv, the exact dtl mean root, and brute-force
-root enumerations of the three-parameter moment systems, used to decide
+stood with scipy's gammaincinv, the exact dtl mean root, and an exact
+root oracle for the three-parameter moment systems, used to decide
 whether a parameter vector is the canonical (smallest-c) root of its own
 moments.  Production code never imports this module.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
-from scipy import optimize, special
+from numpy.polynomial import Polynomial, polynomial
+from scipy import special
 
 exp = math.exp
 
@@ -417,12 +419,11 @@ def gld_hazard(x, a, b, c, whittaker=_whit):
     return num / den
 
 
-# -- moment-system root enumeration ------------------------------------------
+# -- moment-system roots -----------------------------------------------------
 #
-# Both three-parameter families are finite mixtures of two gamma components,
-# and their first three raw moments determine the parameters only up to a
-# small set of discrete roots.  The scans below enumerate those roots through
-# a one-dimensional elimination, independently of the shipped estimator.
+# The first three raw moments of gld and ngld fix the parameters only up to a
+# few discrete roots.  Each system is eliminated over the rationals to one
+# polynomial, whose real roots Sturm counts isolate; no estimator code is used.
 
 def gld_raw_moments(a, b, c):
     w = c / (c + b)
@@ -433,57 +434,6 @@ def gld_raw_moments(a, b, c):
     )
 
 
-def gld_moment_roots(m1, m2, m3, n_grid=4000):
-    """All (a, b, c) > 0 with the given first three raw moments."""
-    r2 = m2 / (m1 * m1)
-    r3 = m3 / (m1 * m2)
-    half = np.geomspace(1e-11, 0.5, n_grid)
-    ws = np.unique(np.concatenate([half, 1.0 - half]))
-
-    def a_at(w, branch):
-        qa = 1.0 - r2
-        qb = 1.0 + 2.0 * w - 2.0 * r2 * w
-        qc = 2.0 * w - r2 * w * w
-        disc = qb * qb - 4.0 * qa * qc
-        if disc < 0 or qa == 0:
-            return None
-        a = (-qb + branch * math.sqrt(disc)) / (2.0 * qa)
-        return a if a > 0 else None
-
-    roots = []
-    for branch in (1.0, -1.0):
-        def defect(w):
-            a = a_at(w, branch)
-            if a is None:
-                return math.nan
-            return (a + 2.0) * (a + 3.0 * w) / ((a + w) * (a + 2.0 * w)) - r3
-
-        vals = np.array([defect(w) for w in ws])
-        for i in range(len(ws) - 1):
-            v0, v1 = vals[i], vals[i + 1]
-            if math.isfinite(v0) and math.isfinite(v1) and (v0 > 0) != (v1 > 0):
-                w_root = optimize.brentq(defect, ws[i], ws[i + 1], xtol=1e-15)
-                a = a_at(w_root, branch)
-                if a is None:
-                    continue
-                b = (a + w_root) / m1
-                c = b * w_root / (1.0 - w_root)
-                if b > 0 and c > 0 and math.isfinite(c):
-                    roots.append((a, b, c))
-        # tangency dips (double roots) produce no crossing; polish local minima
-        mags = np.where(np.isfinite(vals), np.abs(vals), np.inf)
-        for i in range(1, len(ws) - 1):
-            if mags[i] < 1e-5 and mags[i] <= mags[i - 1] and mags[i] <= mags[i + 1]:
-                a = a_at(ws[i], branch)
-                if a is None:
-                    continue
-                b = (a + ws[i]) / m1
-                c = b * ws[i] / (1.0 - ws[i])
-                if b > 0 and c > 0 and math.isfinite(c):
-                    roots.append((a, b, c))
-    return _dedupe(roots)
-
-
 def ngld_raw_moments(a, b, c):
     return (
         (c * a + b) / ((1.0 + c) * c),
@@ -492,71 +442,140 @@ def ngld_raw_moments(a, b, c):
     )
 
 
-def ngld_moment_roots(m1, m2, m3, n_grid=12000):
-    """All (a, b, c) > 0 with the given first three raw moments."""
-    cs = np.geomspace(1e-6, 1e6, n_grid)
+_T = Polynomial([Fraction(0), Fraction(1)])   # the unknown, with exact coefficients
 
-    def ab_at(c, branch):
-        t = (1.0 + c) * m1
-        qa = 1.0 + c
-        qb = -2.0 * c * t
-        qc = c * t * t + t - (1.0 + c) * c * m2
-        disc = qb * qb - 4.0 * qa * qc
-        if disc < 0:
+
+def _divmod(num, den):
+    """Quotient and remainder of num / den: lists of Fractions, lowest degree first, with den[-1] != 0."""
+    num, quot = list(num), [Fraction(0)] * max(1, len(num) - len(den) + 1)
+    for i in range(len(num) - len(den), -1, -1):
+        quot[i] = num[i + len(den) - 1] / den[-1]
+        for j, d in enumerate(den):
+            num[i + j] -= quot[i] * d
+    return quot, num[: len(den) - 1]
+
+
+def _sturm_chain(p):
+    """p, p' and Euclid's negated remainders, each scaled by a positive factor to integer coefficients."""
+    chain = [p, [i * x for i, x in enumerate(p)][1:] or [Fraction(0)]]
+    while len(chain[-1]) > 1 and any(rem := _divmod(chain[-2], chain[-1])[1]):
+        rem = rem[: max(i for i, x in enumerate(rem) if x) + 1]
+        chain.append([-x / abs(rem[-1]) for x in rem])
+    dens = [math.lcm(*(x.denominator for x in q)) for q in chain]
+    return [[int(x * d) for x in q] for q, d in zip(chain, dens)]
+
+
+def _sign_changes(chain, x):
+    """Sign changes along the integer chain at the rational x, zeros skipped."""
+    signs = []
+    for q in chain:
+        value, scale = 0, 1   # q(x) times a positive power of x's denominator, by Horner
+        for coef in reversed(q):
+            value = value * x.numerator + coef * scale
+            scale *= x.denominator
+        if value:
+            signs.append(value > 0)
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def real_roots(p, lo, hi):
+    """Each distinct real root of the exact polynomial p in (lo, hi], 0 <= lo < hi, as a rational.
+
+    Sturm's theorem: once gcd(p, p'), the chain's last member, is divided out,
+    the chain's sign changes fall by one across each root of p and nowhere
+    else.  Bisecting by those counts, each root comes as the upper end of an
+    interval that holds it alone and is at most hi / 2^60 wide.
+    """
+    chain = _sturm_chain(p)
+    if len(chain[-1]) > 1:
+        chain = _sturm_chain(_divmod(p, [Fraction(x) for x in chain[-1]])[0])
+    roots, todo = [], [(lo, hi, _sign_changes(chain, lo), _sign_changes(chain, hi))]
+    while todo:
+        lo, hi, v_lo, v_hi = todo.pop()
+        if v_lo - v_hi == 1 and hi - lo <= hi / 2**60:
+            roots.append(hi)
+        elif v_lo > v_hi:
+            mid = (lo + hi) / 2
+            v_mid = _sign_changes(chain, mid)
+            todo += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
+    return sorted(roots)
+
+
+def _gld_system(m1, m2, m3):
+    """gld's system in w = c/(c+b) on (0, 1].
+
+    With r2 = m2/m1^2 and r3 = m3/(m1 m2) the moments read
+    F1 = (a+1)(a+2w) - r2 (a+w)^2 = 0 and F2 = (a+2)(a+3w) - r3 (a+w)(a+2w) = 0,
+    quadratics p2 a^2 + p1 a + p0 and q2 a^2 + q1 a + q0.  Their resultant
+    (p2 q0 - p0 q2)^2 - (p2 q1 - p1 q2)(p1 q0 - p0 q1) is w times a cubic, at
+    whose roots a = (q0 p2 - p0 q2)/(p1 q2 - q1 p2), b = (a + w)/m1 and c = b w/(1 - w).
+    """
+    r2, r3, w = m2 / m1**2, m3 / (m1 * m2), _T
+    p0, p1, p2 = 2 * w - r2 * w**2, 1 + 2 * (1 - r2) * w, 1 - r2
+    q0, q1, q2 = 6 * w - 2 * r3 * w**2, 2 + 3 * (1 - r3) * w, 1 - r3
+    cubic, rem = _divmod(((p2 * q0 - p0 * q2) ** 2 - (p2 * q1 - p1 * q2) * (p1 * q0 - p0 * q1)).trim().coef, [0, 1])
+    a_num, a_den = q0 * p2 - p0 * q2, p1 * q2 - q1 * p2
+    assert not any(rem)
+
+    def params_at(w):
+        den = polynomial.polyval(w, a_den.coef)
+        if w == 1 or not den:
             return None
-        a = (-qb + branch * math.sqrt(disc)) / (2.0 * qa)
-        if a <= 0:
+        a = polynomial.polyval(w, a_num.coef) / den
+        return a, (a + w) / m1, (a + w) / m1 * w / (1 - w)
+
+    return cubic, Fraction(1), params_at
+
+
+def _ngld_system(m1, m2, m3):
+    """ngld's system in c, on (0, a power of two past Cauchy's bound on the roots].
+
+    The mean gives b = c((1+c) m1 - a), and then the other moments read
+    G1 = c a(a+1) + b(b+1) - (1+c) c^2 m2 = 0 and
+    G2 = c a(a+1)(a+2) + b(b+1)(b+2) - (1+c) c^3 m3 = 0, with coefficients
+    g and h in a once their factor c is divided out.  Pseudo-reducing G2 by
+    G1 leaves r1 a + r0, so a = -r0/r1, and g2 r0^2 - g1 r0 r1 + g0 r1^2 is
+    (1+c)^2 times the resultant of G1/c and G2/c, which is (1+c)^5 times a
+    quintic with c^5 coefficient (m1^2 - m2)^3 != 0: at most five roots,
+    apart from a degenerate c where r0 = r1 = 0.
+    """
+    c, t = _T, (1 + _T) * m1
+    g0, g1, g2 = c * t**2 + t - (1 + c) * c * m2, -2 * c * t, 1 + c
+    h0, h1 = c**2 * t**3 + 3 * c * t**2 + 2 * t - (1 + c) * c**2 * m3, -3 * c**2 * t**2 - 6 * c * t
+    h2, h3 = 3 + 3 * c + 3 * c**2 * t, 1 - c**2
+    k0, k1, k2 = g2 * h0, g2 * h1 - h3 * g0, g2 * h2 - h3 * g1   # g2 G2 - h3 a G1, quadratic in a
+    r0, r1 = g2 * k0 - k2 * g0, g2 * k1 - k2 * g1
+    quintic, rem = _divmod((g2 * r0**2 - g1 * r0 * r1 + g0 * r1**2).trim().coef, ((1 + c) ** 7).coef)
+    assert not any(rem)
+    cauchy = 1 + max(abs(x / quintic[-1]) for x in quintic[:-1])
+
+    def params_at(c):
+        den = polynomial.polyval(c, r1.coef)
+        if not den:
             return None
-        b = c * (t - a)
-        if b <= 0:
-            return None
-        return a, b
+        a = -polynomial.polyval(c, r0.coef) / den
+        return a, c * ((1 + c) * m1 - a), c
 
-    roots = []
-    for branch in (1.0, -1.0):
-        def defect(c):
-            ab = ab_at(c, branch)
-            if ab is None:
-                return math.nan
-            a, b = ab
-            return (
-                c * a * (a + 1.0) * (a + 2.0)
-                + b * (b + 1.0) * (b + 2.0)
-                - (1.0 + c) * c**3 * m3
-            )
-
-        vals = np.array([defect(c) for c in cs])
-        for i in range(len(cs) - 1):
-            v0, v1 = vals[i], vals[i + 1]
-            if math.isfinite(v0) and math.isfinite(v1) and (v0 > 0) != (v1 > 0):
-                c_root = optimize.brentq(defect, cs[i], cs[i + 1], xtol=1e-15)
-                ab = ab_at(c_root, branch)
-                if ab is not None:
-                    roots.append((ab[0], ab[1], c_root))
-        scale = np.abs((1.0 + cs) * cs**3 * m3)
-        rel = np.where(np.isfinite(vals), np.abs(vals) / scale, np.inf)
-        for i in range(1, len(cs) - 1):
-            if rel[i] < 1e-5 and rel[i] <= rel[i - 1] and rel[i] <= rel[i + 1]:
-                ab = ab_at(cs[i], branch)
-                if ab is not None:
-                    roots.append((ab[0], ab[1], cs[i]))
-    return _dedupe(roots)
+    return quintic, Fraction(2 ** math.ceil(cauchy).bit_length()), params_at
 
 
-def _dedupe(roots, rtol=1e-4):
-    out = []
-    for r in roots:
-        if not any(
-            all(abs(x - y) <= rtol * max(abs(y), 1e-12) for x, y in zip(r, s)) for s in out
-        ):
-            out.append(r)
-    return out
+def moment_system(family, m1, m2, m3):
+    """(P, hi, params_at) of the "gld" or "ngld" system at raw moments m1, m2, m3, taken as exact.
+
+    Each root of the system is params_at(x), not None, at a root x of the polynomial P in (0, hi].
+    """
+    return {"gld": _gld_system, "ngld": _ngld_system}[family](*(Fraction(m) for m in (m1, m2, m3)))
 
 
-def is_canonical_root(params, roots, rtol=1e-5):
-    """True when ``params`` appears among ``roots`` and has the smallest c."""
-    match = [r for r in roots if all(abs(x - y) <= rtol * max(abs(y), 1e-12) for x, y in zip(r, params))]
-    if not match:
-        return False
-    c_gen = params[-1]
-    return all(r[-1] >= c_gen * (1.0 - 1e-6) for r in roots)
+def moment_roots(family, m1, m2, m3):
+    """Every (a, b, c) > 0 of the "gld" or "ngld" family with raw moments m1, m2, m3, rounded to floats."""
+    poly, hi, params_at = moment_system(family, m1, m2, m3)
+    roots = [params_at(x) for x in real_roots(poly, Fraction(0), hi)]
+    return [tuple(map(float, r)) for r in roots if r and min(r) > 0]
+
+
+def is_canonical_root(family, params, rtol=1e-5):
+    """True when ``params`` matches exactly one root of its own moments at rtol, and that root has the smallest c."""
+    roots = moment_roots(family, *{"gld": gld_raw_moments, "ngld": ngld_raw_moments}[family](*params))
+    match = [r for r in roots if np.allclose(params, r, rtol=rtol, atol=0.0)]
+    return len(match) == 1 and match[0][-1] == min(r[-1] for r in roots)

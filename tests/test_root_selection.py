@@ -6,7 +6,8 @@ error class), the chosen parameters and, for the three-parameter families,
 every distinct root the solver collected with its residual.  The targets
 come from three sources, all drawn here with numpy:
 
-* the criterion-3 draws of ``test_acceptance`` (same generator, same order);
+* the draws of criterion 3's generator in ``test_acceptance`` (same order), up
+  to the 103rd gld and 112th ngld triple, more than criterion 3 now takes;
 * the published anchors of ``test_acceptance``;
 * one sample per generating law of the fit benchmark (lindley1 mixture,
   gld-shaped two-gamma mixture, lognormal, truncated Salpeter power law),
@@ -48,6 +49,7 @@ from lindleyfit import estimation as est
 from lindleyfit.distributions import Family
 from lindleyfit.errors import LindleyFitError
 
+import reference_forms as ref
 from conftest import random_spec
 from test_acceptance import TABLE_ANCHORS
 
@@ -74,27 +76,6 @@ def criterion_3_specs(three_param_draws):
     for fam, maker in THREE_PARAM.items():
         specs += [maker(*rng.uniform(0.5, 6.0, size=3)) for _ in range(three_param_draws[fam.value])]
     return specs
-
-
-def _count_criterion_3_draws():
-    import reference_forms as ref
-
-    rng = np.random.default_rng(107)
-    for fam in (Family.LINDLEY1, Family.TPLD, Family.DTL, Family.PLD, Family.NWL):
-        for _ in range(50):
-            random_spec(fam, rng)
-    counts = {}
-    for fam, enum, mom in (
-        (Family.GLD, ref.gld_moment_roots, ref.gld_raw_moments),
-        (Family.NGLD, ref.ngld_moment_roots, ref.ngld_raw_moments),
-    ):
-        done = tried = 0
-        while done < 50 and tried < 600:
-            tried += 1
-            p = tuple(rng.uniform(0.5, 6.0, size=3))
-            done += ref.is_canonical_root(p, enum(*mom(*p)))
-        counts[fam.value] = tried
-    return counts
 
 
 def law_samples(n=2000):
@@ -251,8 +232,24 @@ def test_root_selection_is_frozen(group, family):
     assert checked
 
 
+@pytest.mark.parametrize("family,degree", [("gld", 3), ("ngld", 5)])
+def test_exact_root_count_agrees_with_the_solver(family, degree):
+    # the solver collects as many roots as the oracle's Sturm count (none where it raises); the exact elimination
+    # leaves a cubic for gld and, its resultant divided by c^5 (1+c)^5 without remainder, a quintic for ngld
+    for e in (e for e in _load()["entries"] if e["family"] == family):
+        t = est.MomentTargets(**e["targets"])
+        m = (t.xbar, t.s2 + t.xbar**2, t.xbar3)
+        try:
+            found = len(est._moment_roots(Family(family), t)[0])
+        except LindleyFitError:
+            found = 0
+        roots = ref.moment_roots(family, *m)
+        assert len(roots) == found and len(ref.moment_system(family, *m)[0]) == degree + 1, (roots, e)
+        assert family != "gld" or len(roots) <= 2, e
+
+
 def _write_fixture():
-    draws = _count_criterion_3_draws()
+    draws = _load()["three_param_draws"]
     entries = []
     for group, fam, t in cases(draws):
         kind, params = outcome(fam, t)
