@@ -344,22 +344,23 @@ def main(argv=None) -> int:
                 fmt=args.format,
             )
             return cmd_fit(config)
+        families = _parse_families(args.family)   # plotdata's and synth's, parsed as fit's
+        if len(families) != 1:
+            raise ValueError(f"--family takes exactly one family, got {args.family!r}")
         if args.command == "plotdata":
-            family = Family(args.family.strip().lower())
             config = RunConfig(
                 inputs=args.input,
                 column=args.column,
-                families=(family,),
+                families=families,
                 n_bins=args.bins,
                 out_dir=args.out,
             )
-            return cmd_plotdata(config, family)
+            return cmd_plotdata(config, families[0])
         if args.command == "synth":
-            family = Family(args.family.strip().lower())
             params = [float(tok) for tok in args.params.split(",") if tok.strip()]
             if args.n < 1:
                 raise ValueError(f"--n must be >= 1, got {args.n}")
-            return cmd_synth(family, params, args.n, args.seed, args.out)
+            return cmd_synth(families[0], params, args.n, args.seed, args.out)
         parser.error(f"unknown command {args.command!r}")
     except (LindleyFitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -630,20 +630,22 @@ def raw_moment(spec: DistributionSpec, r: int) -> float:
 _LOG_GAMMA_RATIO = tuple((-1) ** k * special.zeta(k) * (2.0**k - 2.0) / k for k in range(19, 1, -1))
 
 
-def _mean_variance_pld(b, c):
-    # with s = 1/c and u = s/(b+1), m2/mu^2 = Gamma(1+2s)/Gamma(1+s)^2 (1 - (u/(1+u))^2), so
-    # Var/mu^2 is expm1 of a log that vanishes with s: no mu2' - mu^2 cancellation at large c
-    s = 1.0 / c
-    mu = _raw_moment_pld(1, b, c)
+def _log_m2_ratio_pld(b, s):
+    """ln(m2/mu^2) of pld(b, 1/s), lnGamma(1+2s) - 2 lnGamma(1+s) + log1p(-(u/(1+u))^2) with u = s/(b+1)."""
     small = np.minimum(s, 0.05)   # keep the series inside its own range
     series = 0.0
     for coef in _LOG_GAMMA_RATIO:
         series = series * small + coef
-    log_ratio = np.where(
+    u = s / (b + 1.0)
+    return np.log1p(-(u / (1.0 + u)) ** 2) + np.where(
         s <= 0.05, series * small * small, special.gammaln(1.0 + 2.0 * s) - 2.0 * special.gammaln(1.0 + s)
     )
-    u = s / (b + 1.0)
-    return mu, mu * (mu * np.expm1(log_ratio + np.log1p(-(u / (1.0 + u)) ** 2)))
+
+
+def _mean_variance_pld(b, c):
+    # Var/mu^2 is expm1 of a log ratio that vanishes with 1/c: no mu2' - mu^2 cancellation at large c
+    mu = _raw_moment_pld(1, b, c)
+    return mu, mu * (mu * np.expm1(_log_m2_ratio_pld(b, 1.0 / c)))
 
 
 def _mean_variance_nwl(b, c):

@@ -3,14 +3,16 @@
 Each family's ``_<family>_candidates`` supplies parameter vectors, each
 marked as a root or as a probe, and :func:`estimate` alone judges them and
 builds the report.  ``lindley1``, ``tpld`` and the lognormal have closed
-forms, and ``dtl``'s mean, which falls strictly in z = c (x_u - x_l), is
-matched by bisecting ln z with :func:`_bisect`: each gives one root.  The
-``pld``, ``nwl``, ``gld`` and ``ngld`` systems each reduce exactly to one
-unknown, with the other parameters in closed form, and three of the four
-reductions are polynomials (degree 3, 6 and 7 for ``gld``, ``nwl`` and
-``ngld``).  Their unknown's domain is cut at the polynomial's extrema, so
-that each piece holds at most one root, and every piece whose ends differ in
-sign is bisected (:func:`_cut_roots`); ``pld`` needs no cut.
+forms (``lindley1``'s is ``nwl``'s mean match at v = 0), and ``dtl``'s mean,
+which falls strictly in z = c (x_u - x_l), is matched by bisecting ln z with
+:func:`_bisect`: each gives one root.  The ``pld``, ``nwl``, ``gld`` and
+``ngld`` systems each reduce exactly to one unknown, with the other
+parameters in closed form, and three of the four reductions are polynomials
+(degree 3, 6 and 7 for ``gld``, ``nwl`` and ``ngld``).  Their unknown's
+domain is cut at the polynomial's extrema, so that each piece holds at most
+one root, and every piece whose ends differ in sign is bisected
+(:func:`_cut_roots`); ``pld`` needs no cut, and its defect is the pld
+variance's log ratio from :mod:`.distributions`.
 
 One rule judges every candidate: it must pass the family's validator, and
 its defect on each moment it matches must be within MOMENT_TOL of the
@@ -24,9 +26,9 @@ the judge.
 The three-parameter moment systems are genuinely multi-rooted: distinct
 positive parameter vectors can share their first three moments (at most two
 for ``gld``, and five for ``ngld``, whose system eliminates exactly to a
-quintic in c).  Every root the judge accepts is
-collected, and the reported one is the one with the smallest last parameter
-``c`` (then the lexicographically smallest), which matches the published fits.
+quintic in c).  Every root the judge accepts is collected, and the one
+reported has the smallest last parameter ``c`` (then is lexicographically
+smallest), which matches the published fits.
 """
 
 from __future__ import annotations
@@ -75,18 +77,21 @@ def _one_root(*params):
     return np.array([params]), np.ones(1, dtype=bool)
 
 
-def _lindley1_candidates(t: MomentTargets):
-    """Closed-form c from the mean match: the positive root of x c^2 + (x - 1) c - 2 = 0.
+def _mean_match_c(m1, v):
+    """c from the mean match m1 c^2 + (m1 - 1) G_1 c - 2 G_2 = 0: nwl's at v = 1/(1+b), lindley1's at v = 0.
 
-    Here x is the sample mean.  Each side of x = 1 uses the form of the root without cancellation, and the
-    discriminant is factored so that it never overflows.
+    c is the positive root, with G_1 = 1 + v and G_2 = 1 + v + v^2.  Each side
+    of m1 = 1 uses the form of the root without cancellation, and the
+    discriminant is formed from sqrt(m1) so that it never overflows.
     """
-    x = t.xbar
-    if x < 1.0:
-        c_hat = (1.0 - x + math.sqrt(x * x + 6.0 * x + 1.0)) / (2.0 * x)
-    else:
-        c_hat = 4.0 / (x - 1.0 + x * math.sqrt(1.0 + (6.0 + 1.0 / x) / x))
-    return _one_root(c_hat)
+    k = (m1 - 1.0) * (1.0 + v)
+    root = np.hypot(k, np.sqrt(m1) * np.sqrt(8.0 * (1.0 + v + v * v)))
+    return (root - k) / (2.0 * m1) if m1 < 1.0 else 4.0 * (1.0 + v + v * v) / (k + root)
+
+
+def _lindley1_candidates(t: MomentTargets):
+    """Closed-form c from the mean match, nwl's at v = 0: the positive root of x c^2 + (x - 1) c - 2 = 0."""
+    return _one_root(_mean_match_c(t.xbar, 0.0))
 
 
 def _tpld_candidates(t: MomentTargets):
@@ -280,24 +285,18 @@ def _nwl_candidates(t: MomentTargets):
     """New-weighted roots from a 1-D reduction in v = 1/(1+b).
 
     With G_j = 1 + v + ... + v^j the raw moments are
-    m_r = r! (c G_r + (r+1) G_{r+1}) / (c^r (c + G_1)).  The mean fixes c as
-    the positive root of m1 c^2 + (m1 - 1) G_1 c - 2 G_2 = 0, written without
-    cancellation on either side of m1 = 1, and m2(c, v)/m2 - 1 is the 1-D
-    defect.  Reducing the m2 cubic in c by that quadratic gives c = beta/alpha
-    with alpha = 2 m1 (m2 - m1) G_2 - m2 (m1 - 1) G_1^2 and
+    m_r = r! (c G_r + (r+1) G_{r+1}) / (c^r (c + G_1)).  The mean's quadratic
+    fixes c (:func:`_mean_match_c`), and m2(c, v)/m2 - 1 is the 1-D defect.
+    Reducing the m2 cubic in c by that quadratic gives c = beta/alpha with
+    alpha = 2 m1 (m2 - m1) G_2 - m2 (m1 - 1) G_1^2 and
     beta = 6 m1^2 G_3 - 2 m2 G_1 G_2, so every root is one of the sextic
     m1 beta^2 + (m1 - 1) G_1 alpha beta - 2 G_2 alpha^2, whose extrema are the cuts.
     """
     m1 = t.xbar
     m2 = t.s2 + m1 * m1
 
-    def c_of(v):
-        k = (m1 - 1.0) * (1.0 + v)
-        root = np.hypot(k, np.sqrt(8.0 * m1 * (1.0 + v + v * v)))
-        return (root - k) / (2.0 * m1) if m1 < 1.0 else 4.0 * (1.0 + v + v * v) / (k + root)
-
     def g(v):
-        return dist._raw_moment_nwl(2, (1.0 - v) / v, c_of(v)) / m2 - 1.0
+        return dist._raw_moment_nwl(2, (1.0 - v) / v, _mean_match_c(m1, v)) / m2 - 1.0
 
     f1 = Fraction(m1)
     f2 = Fraction(t.s2) + f1 * f1
@@ -306,7 +305,7 @@ def _nwl_candidates(t: MomentTargets):
     beta = 6 * f1 * f1 * (g2 + _X**3) - 2 * f2 * g1 * g2
     sextic = f1 * beta**2 + (f1 - 1) * g1 * alpha * beta - 2 * g2 * alpha**2
     v, root = _cut_roots(g, *_UNIT_ENDS, _real_roots(polynomial.polyder(sextic.coef)))
-    return np.column_stack([(1.0 - v) / v, c_of(v)]), root
+    return np.column_stack([(1.0 - v) / v, _mean_match_c(m1, v)]), root
 
 
 def _pld_candidates(t: MomentTargets):
@@ -316,13 +315,13 @@ def _pld_candidates(t: MomentTargets):
     each s the mean fixes L = ln b: -s L + log1p(s/(b+1)) = ln m1 - lnGamma(1+s)
     falls strictly in L, by between s and 1.25 s per unit, and its root lies
     within log1p(s)/s <= 1 above L0 = (lnGamma(1+s) - ln m1)/s, so four Newton
-    steps from L0 reach it.  The second moment's log defect
-    -2s L + lnGamma(1+2s) + log1p(2s/(b+1)) - ln m2 is the 1-D defect.  On
-    1e-11 <= s <= 100 it is NaN (b past the doubles), then negative, then
-    positive, so one bisection finds the one root.
+    steps from L0 reach it.  The 1-D defect is ln(m2/m1^2) - log1p(s2/xbar^2),
+    with the distribution's own log ratio, which vanishes with s without
+    cancellation.  On 1e-11 <= s <= 100 it is NaN (b past the doubles), then
+    negative, then positive, so one bisection finds the one root.
     """
     log_m1 = math.log(t.xbar)
-    log_m2 = 2.0 * log_m1 + math.log1p(t.s2 / t.xbar / t.xbar)
+    log_ratio = math.log1p(t.s2 / t.xbar / t.xbar)
 
     def log_b(s):
         lg = special.gammaln(1.0 + s)
@@ -335,10 +334,8 @@ def _pld_candidates(t: MomentTargets):
 
     def g(log_s):
         s = np.exp(log_s)
-        L = log_b(s)
-        b = np.exp(L)
-        defect = special.gammaln(1.0 + 2.0 * s) - 2.0 * s * L + np.log1p(2.0 * s / (b + 1.0)) - log_m2
-        return np.where((b > 0) & (b < math.inf), defect, np.nan)
+        b = np.exp(log_b(s))
+        return np.where((b > 0) & (b < math.inf), dist._log_m2_ratio_pld(b, s) - log_ratio, np.nan)
 
     log_s, root = _cut_roots(g, math.log(1e-11), math.log(1e2))
     s = np.exp(log_s)

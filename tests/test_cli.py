@@ -71,9 +71,11 @@ class TestSynth:
         assert not (tmp_path / "x.csv").exists()
 
     def test_unknown_family(self, tmp_path, capsys):
+        # the message fit gives, with the valid names, not the enum's "'weibull' is not a valid Family"
         code, _, err = run(capsys, "synth", "--family", "weibull", "--params", "1.0",
                            "--n", "10", "--seed", "1", "--out", str(tmp_path / "x.csv"))
         assert code == 2
+        assert "unknown family 'weibull'; valid: lognormal, lindley1," in err
 
 
 class TestFit:
@@ -251,6 +253,12 @@ class TestPlotdata:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err
         assert not (tmp_path / "plot").exists()
+
+    def test_unknown_family(self, synth_csv, tmp_path, capsys):
+        code, _, err = run(capsys, "plotdata", "--input", str(synth_csv),
+                           "--family", "weibull", "--out", str(tmp_path / "plot"))
+        assert code == 2
+        assert "unknown family 'weibull'; valid: lognormal, lindley1," in err
 
     def test_plots_every_input(self, synth_csv, tmp_path, capsys):
         # only the first --input was plotted, with exit code 0

@@ -66,7 +66,8 @@ class TestLindley1:
         r = est.estimate(Family.LINDLEY1, targets(xbar, 0.5))
         assert abs(lf.mean(r.spec) / xbar - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("xbar", [1e-300, 1e-200, 1e200, 1e300])
+    # near the top of the doubles, 8 xbar overflows: the mean match forms its discriminant from sqrt(xbar)
+    @pytest.mark.parametrize("xbar", [1e-300, 1e-200, 1e200, 1e300, 5e307, 8e307])
     def test_converges_at_extreme_means(self, xbar):
         r = est.estimate(Family.LINDLEY1, targets(xbar, 0.5))
         assert lf.mean(r.spec) == pytest.approx(xbar, rel=1e-15)
@@ -267,6 +268,11 @@ class TestTwoParam:
         t = lf.summarize(lf.MassCatalog("flat", masses))
         r = est.estimate(family, t)
         assert np.max(np.abs(r.residuals) / np.array([t.xbar, t.s2 + t.xbar**2])) <= 1e-14
+        # pld matches its variance as a log ratio that vanishes with 1/c, so it holds on the
+        # scale of s2; tpld's closed form subtracts moments of size xbar^2 and is 2.2e-6 off
+        # here, a defect of its own that this test leaves open
+        if family is Family.PLD:
+            assert abs(lf.variance(r.spec) / t.s2 - 1.0) <= 1e-12
 
 
 class TestThreeParam:
@@ -610,20 +616,23 @@ class TestDispatch:
         assert (r.spec.family, len(r.residuals), r.iterations) == (family, k, 0)
 
 
-# log-uniform parameter ranges and the numpy seed of each population sweep
+# the family, log-uniform parameter ranges and numpy seed of each population sweep
 POPULATIONS = {
-    Family.GLD: ([(0.05, 50.0)] * 3, 1),
-    Family.PLD: ([(1e-2, 1e2), (0.2, 20.0)], 3),
-    Family.NGLD: ([(0.05, 200.0)] * 3, 0),
-    Family.NWL: ([(1e-3, 1e3), (1e-2, 1e2)], 3),
+    "gld": (Family.GLD, [(0.05, 50.0)] * 3, 1),
+    "pld": (Family.PLD, [(1e-2, 1e2), (0.2, 20.0)], 3),
+    # large c, where a log defect of the second moment that cancels as c grows
+    # missed 178 generating vectors and s2 by up to 650 times
+    "pld-wide": (Family.PLD, [(1e-2, 1e2), (1e2, 1e10)], 3),
+    "ngld": (Family.NGLD, [(0.05, 200.0)] * 3, 0),
+    "nwl": (Family.NWL, [(1e-3, 1e3), (1e-2, 1e2)], 3),
 }
 
 
-@pytest.mark.parametrize("family", list(POPULATIONS), ids=lambda f: f.value)
-def test_population_targets_are_fitted(family):
+@pytest.mark.parametrize("population", list(POPULATIONS))
+def test_population_targets_are_fitted(population):
     # 300 generating vectors each; absolute acceptance and the Newton start
     # grids lost 12 gld, 15 pld, 24 ngld and 8 nwl of them
-    ranges, seed = POPULATIONS[family]
+    family, ranges, seed = POPULATIONS[population]
     low, high = np.log(ranges).T
     for p in np.exp(np.random.default_rng(seed).uniform(low, high, size=(300, len(ranges)))):
         t = est.targets_from_spec(lf.DistributionSpec(family, tuple(p)))
@@ -634,6 +643,9 @@ def test_population_targets_are_fitted(family):
         targets_dict = {"xbar": t.xbar, "s2": t.s2, "xbar3": t.xbar3}
         rtol = max(1e-6, determinacy(family, tuple(p), targets_dict) / 100.0)
         np.testing.assert_allclose(r.spec.params, p, rtol=rtol, err_msg=str(tuple(p)))
+        if family is Family.PLD:
+            # the judge reads the variance on the scale of s2 + xbar^2; the fit must also hold it on s2's
+            assert abs(lf.variance(r.spec) / t.s2 - 1.0) <= 1e-12, tuple(p)
 
 
 def test_batched_moment_maps_match_scalar_moments():
