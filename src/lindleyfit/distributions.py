@@ -47,8 +47,6 @@ from .errors import (
     SurvivalUnderflowError,
 )
 
-_SQRT2 = math.sqrt(2.0)
-
 # Survival probabilities below this raise instead of producing a huge hazard.
 SURVIVAL_FLOOR = 1e-300
 
@@ -469,8 +467,7 @@ def _cdf_dtl(x, c, x_l, x_u):
 
 
 def _cdf_lognormal(x, m, sigma):
-    z = (np.log(x) - math.log(m)) / (sigma * _SQRT2)
-    return np.clip(0.5 + 0.5 * specfun.erf_arr(z), 0.0, 1.0)
+    return special.ndtr((np.log(x) - math.log(m)) / sigma)
 
 
 _CDF = {
@@ -495,7 +492,7 @@ def _sf_dtl(x, c, x_l, x_u):
 
 
 def _sf_lognormal(x, m, sigma):
-    return 0.5 * specfun.erfc_arr((np.log(x) - math.log(m)) / (sigma * _SQRT2))
+    return special.ndtr((math.log(m) - np.log(x)) / sigma)
 
 
 _SF = {

@@ -7,12 +7,13 @@ forms (``lindley1``'s is ``nwl``'s mean match at v = 0), and ``dtl``'s mean,
 which falls strictly in z = c (x_u - x_l), is matched by bisecting ln z with
 :func:`_bisect`: each gives one root.  The ``pld``, ``nwl``, ``gld`` and
 ``ngld`` systems each reduce exactly to one unknown, with the other
-parameters in closed form, and three of the four reductions are polynomials
-(degree 3, 6 and 7 for ``gld``, ``nwl`` and ``ngld``).  Their unknown's
-domain is cut at the polynomial's extrema, so that each piece holds at most
-one root, and every piece whose ends differ in sign is bisected
-(:func:`_cut_roots`); ``pld`` needs no cut, and its defect is the pld
-variance's log ratio from :mod:`.distributions`.
+parameters in closed form.  The ``gld`` defect has one extremum and the
+``ngld`` defect reduces to a polynomial of degree 7, so their unknown's domain
+is cut at those extrema, each piece holds at most one root, and every piece
+whose ends differ in sign is bisected (:func:`_cut_roots`).  The ``pld`` and
+``nwl`` defects change sign at most once, so neither needs a cut: ``pld``'s is
+the pld variance's log ratio from :mod:`.distributions`, and ``nwl``'s is its
+second moment along the mean match, which falls monotonically.
 
 One rule judges every candidate: it must pass the family's validator, and
 its defect on each moment it matches must be within MOMENT_TOL of the
@@ -186,10 +187,10 @@ def _real_roots(coef):
 def _cut_roots(g, lo, hi, cuts=()):
     """Roots of a 1-D defect ``g`` on [lo, hi], whose ``cuts`` leave at most one root in each piece.
 
-    The cuts include every extremum of the polynomial the defect reduces to;
-    those outside (lo, hi) are dropped.  A piece whose ends differ in sign
-    (NaN counts as negative) is bisected to one ulp; a cut with no sign
-    change on either side is a tangent root.  Returns every bisected root,
+    The cuts include every extremum of the defect, or of the polynomial it
+    reduces to; those outside (lo, hi) are dropped.  A piece whose ends
+    differ in sign (NaN counts as negative) is bisected to one ulp; a cut
+    with no sign change on either side is a tangent root.  Returns every bisected root,
     then every point, and a boolean array that marks the roots: the ends and
     the other cuts are probes, which only report their defect.
     """
@@ -282,15 +283,13 @@ def _ngld_candidates(t: MomentTargets):
 
 
 def _nwl_candidates(t: MomentTargets):
-    """New-weighted roots from a 1-D reduction in v = 1/(1+b).
+    """The new-weighted root from one bisection in v = 1/(1+b).
 
     With G_j = 1 + v + ... + v^j the raw moments are
     m_r = r! (c G_r + (r+1) G_{r+1}) / (c^r (c + G_1)).  The mean's quadratic
     fixes c (:func:`_mean_match_c`), and m2(c, v)/m2 - 1 is the 1-D defect.
-    Reducing the m2 cubic in c by that quadratic gives c = beta/alpha with
-    alpha = 2 m1 (m2 - m1) G_2 - m2 (m1 - 1) G_1^2 and
-    beta = 6 m1^2 G_3 - 2 m2 G_1 G_2, so every root is one of the sextic
-    m1 beta^2 + (m1 - 1) G_1 alpha beta - 2 G_2 alpha^2, whose extrema are the cuts.
+    Along the mean match m2 falls monotonically in v, so there is at most one
+    root, and one bisection on the unit domain finds it, as for ``pld``.
     """
     m1 = t.xbar
     m2 = t.s2 + m1 * m1
@@ -298,13 +297,7 @@ def _nwl_candidates(t: MomentTargets):
     def g(v):
         return dist._raw_moment_nwl(2, (1.0 - v) / v, _mean_match_c(m1, v)) / m2 - 1.0
 
-    f1 = Fraction(m1)
-    f2 = Fraction(t.s2) + f1 * f1
-    g1, g2 = 1 + _X, 1 + _X + _X**2
-    alpha = 2 * f1 * (f2 - f1) * g2 - f2 * (f1 - 1) * g1**2
-    beta = 6 * f1 * f1 * (g2 + _X**3) - 2 * f2 * g1 * g2
-    sextic = f1 * beta**2 + (f1 - 1) * g1 * alpha * beta - 2 * g2 * alpha**2
-    v, root = _cut_roots(g, *_UNIT_ENDS, _real_roots(polynomial.polyder(sextic.coef)))
+    v, root = _cut_roots(g, *_UNIT_ENDS)
     return np.column_stack([(1.0 - v) / v, _mean_match_c(m1, v)]), root
 
 

@@ -8,9 +8,9 @@ large rate*x, which is exactly why the shipped code uses incomplete-gamma
 compositions instead; at the moderate arguments used in tests both agree to
 ~1e-10.  Also provides a Gamma(2) quantile oracle, the dtl sampler as it
 stood with scipy's gammaincinv, the exact dtl mean root, and an exact
-root oracle for the three-parameter moment systems, used to decide
-whether a parameter vector is the canonical (smallest-c) root of its own
-moments.  Production code never imports this module.
+root oracle for the gld, ngld and nwl moment systems, used to count
+their roots and to decide whether a parameter vector is the canonical
+(smallest-c) root of its own moments.  Production code never imports this module.
 """
 
 import math
@@ -422,8 +422,9 @@ def gld_hazard(x, a, b, c, whittaker=_whit):
 # -- moment-system roots -----------------------------------------------------
 #
 # The first three raw moments of gld and ngld fix the parameters only up to a
-# few discrete roots.  Each system is eliminated over the rationals to one
-# polynomial, whose real roots Sturm counts isolate; no estimator code is used.
+# few discrete roots, and the first two of nwl to at most one.  Each system is
+# eliminated over the rationals to one polynomial, whose real roots Sturm
+# counts isolate; no estimator code is used.
 
 def gld_raw_moments(a, b, c):
     w = c / (c + b)
@@ -559,16 +560,45 @@ def _ngld_system(m1, m2, m3):
     return quintic, Fraction(2 ** math.ceil(cauchy).bit_length()), params_at
 
 
+def _nwl_system(m1, m2, m3):
+    """nwl's system in v = 1/(1+b) on (0, 1]; m3 is not matched.
+
+    With G_j = 1 + v + ... + v^j the raw moments are
+    m_r = r! (c G_r + (r+1) G_{r+1}) / (c^r (c + G_1)), so the mean reads
+    m1 c^2 + (m1 - 1) G_1 c - 2 G_2 = 0 and the second moment
+    m2 c^3 + m2 G_1 c^2 - 2 G_2 c - 6 G_3 = 0.  Reducing the cubic by the
+    quadratic leaves alpha c - beta, with
+    alpha = 2 m1 (m2 - m1) G_2 - m2 (m1 - 1) G_1^2 and
+    beta = 6 m1^2 G_3 - 2 m2 G_1 G_2, so c = beta/alpha at every root, and
+    alpha^2 times the quadratic at that c is the sextic
+    m1 beta^2 + (m1 - 1) G_1 alpha beta - 2 G_2 alpha^2.
+    """
+    v = _T
+    g1, g2 = 1 + v, 1 + v + v**2
+    alpha = 2 * m1 * (m2 - m1) * g2 - m2 * (m1 - 1) * g1**2
+    beta = 6 * m1**2 * (g2 + v**3) - 2 * m2 * g1 * g2
+    sextic = m1 * beta**2 + (m1 - 1) * g1 * alpha * beta - 2 * g2 * alpha**2
+
+    def params_at(v):
+        den = polynomial.polyval(v, alpha.coef)
+        if v == 1 or not den:
+            return None
+        return (1 - v) / v, polynomial.polyval(v, beta.coef) / den
+
+    return list(sextic.trim().coef), Fraction(1), params_at
+
+
 def moment_system(family, m1, m2, m3):
-    """(P, hi, params_at) of the "gld" or "ngld" system at raw moments m1, m2, m3, taken as exact.
+    """(P, hi, params_at) of the "gld", "ngld" or "nwl" system at raw moments m1, m2, m3, taken as exact.
 
     Each root of the system is params_at(x), not None, at a root x of the polynomial P in (0, hi].
     """
-    return {"gld": _gld_system, "ngld": _ngld_system}[family](*(Fraction(m) for m in (m1, m2, m3)))
+    systems = {"gld": _gld_system, "ngld": _ngld_system, "nwl": _nwl_system}
+    return systems[family](*(Fraction(m) for m in (m1, m2, m3)))
 
 
 def moment_roots(family, m1, m2, m3):
-    """Every (a, b, c) > 0 of the "gld" or "ngld" family with raw moments m1, m2, m3, rounded to floats."""
+    """Every parameter vector > 0 of the "gld", "ngld" or "nwl" family with raw moments m1, m2, m3, as floats."""
     poly, hi, params_at = moment_system(family, m1, m2, m3)
     roots = [params_at(x) for x in real_roots(poly, Fraction(0), hi)]
     return [tuple(map(float, r)) for r in roots if r and min(r) > 0]

@@ -259,6 +259,17 @@ class TestTwoParam:
                 # the root must still reproduce them
                 assert np.all(np.abs(r.residuals) <= 1e-14 * np.array([t.xbar, t.s2 + t.xbar**2])), p
 
+    def test_nwl_second_moment_falls_along_the_mean_match(self):
+        # the premise of nwl's one bisection: with c from the mean match, m2 falls in
+        # v = 1/(1+b), so the defect has at most one root (the sextic it reduces to
+        # has six); 2000 points of the unit domain, log-spaced towards both ends
+        tail = np.geomspace(est._UNIT_ENDS[0], 0.5, 1001)
+        v = np.concatenate([tail[:-1], 1.0 - tail[::-1]])
+        for k in range(-150, 151, 10):
+            m1 = 10.0**k
+            ratio = lf.distributions._raw_moment_nwl(2, (1.0 - v) / v, est._mean_match_c(m1, v)) / (m1 * m1)
+            assert np.all(ratio[1:] <= ratio[:-1] * (1.0 + 4e-15)), k
+
     @pytest.mark.parametrize("family", [Family.PLD, Family.TPLD], ids=lambda f: f.value)
     def test_near_constant_pld_sample_gets_an_exact_root(self, family):
         # the variance is 1e-10 of m2, so an absolute 1e-10 tolerance accepted
@@ -348,6 +359,12 @@ class TestThreeParam:
         t = est.targets_from_spec(lf.ngld(84.375, 1.769, 0.17))
         r = est.estimate(Family.NGLD, t)
         np.testing.assert_allclose(r.spec.params, (84.375, 1.769, 0.17), rtol=1e-8)
+
+    def test_ngld_reaches_its_quintic_bound(self):
+        # the exact elimination leaves a quintic in c, and these targets have all five roots
+        t = targets(33.23880385166379, 849.7563948926215, 164794.87589499436)
+        assert len(ref.moment_roots("ngld", t.xbar, t.s2 + t.xbar**2, t.xbar3)) == 5
+        assert len(est._moment_roots(Family.NGLD, t)[0]) == 5
 
     def test_gld_is_fitted_in_every_mass_unit(self):
         # gld is a scale family: (a, b, c) -> (a, b/k, c/k) for masses times k;
