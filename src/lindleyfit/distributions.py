@@ -313,12 +313,13 @@ def _sample_mixture(mix, rng, n, *params):
     if w1 < 0.0 or w2 < 0.0:
         # only tpld with b < 0 has a negative weight
         raise DomainError(f"tpld with b < 0 has a signed density and cannot be sampled, got b={params[0]}")
-    pick = rng.uniform(size=n) < w1
-    k = int(np.count_nonzero(pick))
+    pick = rng.random(n) < w1
+    first, second = np.flatnonzero(pick), np.flatnonzero(~pick)
     out = np.empty(n)
-    out[pick] = rng.standard_gamma(s1, k)
-    out[~pick] = rng.standard_gamma(s2, n - k)
-    return out * (1.0 / rate)
+    out[first] = rng.standard_gamma(s1, first.size)
+    out[second] = rng.standard_gamma(s2, second.size)
+    out *= 1.0 / rate
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -748,72 +749,50 @@ def mode(spec: DistributionSpec) -> ModeResult:
 # --------------------------------------------------------------------------
 
 def _sample_pld(rng, n, b, c):
-    return _sample_mixture(_mixture_lindley1, rng, n, b) ** (1.0 / c)
+    out = _sample_mixture(_mixture_lindley1, rng, n, b)
+    return np.power(out, 1.0 / c, out=out)
 
 
 def _sample_nwl(rng, n, b, c):
-    # scale = 1/r, with r drawn from its part's r-density by inverting the mass over [c, r]
+    # scale = 1/r, with r drawn from its part's r-density by inverting the mass over [c, r];
+    # 1 / np.square(c) is inf, not a ZeroDivisionError, once c^2 underflows
     m2, m3 = _nwl_masses(b, c)
-    pick = rng.uniform(size=n) < m2 / (m2 + m3)
-    u = rng.uniform(size=n)
-    scale = np.where(pick, 1.0 / c - u * m2, np.sqrt(1.0 / (c * c) - u * m3))
-    return rng.gamma(np.where(pick, 2.0, 3.0), scale)
-
-
-def _truncated_gamma2_inv(u, zw):
-    """z in [0, zw] with P(2, z) = u P(2, zw): the Gamma(2) law truncated to [0, zw], inverted at u.
-
-    Below v = u P(2, zw) = 0.3 this takes two Halley steps on
-    log P(2, z) = log v, written as 2 log(z / s) + log(2 P(2, z) / z^2) = 0
-    with s = sqrt(2 v) = zw sqrt(2 u P(2, zw) / zw^2), so no v below the
-    normal range is formed; they start from the series of the quantile in s.
-    Above 0.3 it takes two Halley steps on z - log1p(z) = L with
-    L = -log(1 - v), the Q(2, z) = e^{-z} (1 + z) form, with
-    1 - v = (1 - u) + u Q(2, zw) free of cancellation; they start from
-    L + log1p(L + log1p(L + sqrt(2 L))).  Both are within a few ulp of the
-    exact quantile.
-    """
-    p2w = _scaled_p(zw, 2)[1]
-    upper = u * (zw * zw * p2w) >= 0.3
-    lower = ~upper & (u > 0.0)
-    z = np.zeros_like(u)   # u = 0 draws z = 0
-    s = zw * np.sqrt(2.0 * p2w * u[lower])
-    zl = s * (1.0 + s * (1 / 3 + s * (11 / 72 + s * (43 / 540 + s * (769 / 17280 + s * 221 / 8505)))))
-    for _ in range(2):
-        # with R = R_2(z) (z < 2 here), f = log(P(2, z) / v) = 2 log(z / s) + log(2 R) - z,
-        # f' = 1 / (z R) and f'' / (2 f') = (1 - z - 1 / R) / (2 z)
-        (r,) = _series_r(zl, 1)
-        step = (2.0 * np.log(zl / s) + np.log(2.0 * r) - zl) * zl * r
-        zl = zl - step / (1.0 - step * (1.0 - zl - 1.0 / r) / (2.0 * zl))
-    z[lower] = zl
-    u_up = u[upper]
-    neg_log_q = -np.log((1.0 - u_up) + u_up * (math.exp(-zw) * (1.0 + zw)))
-    zh = neg_log_q + np.log1p(neg_log_q + np.log1p(neg_log_q + np.sqrt(2.0 * neg_log_q)))
-    for _ in range(2):
-        # g = z - log1p(z) - L; g' = z / (1 + z), g'' / (2 g') = 1 / (2 z (1 + z))
-        step = (zh - np.log1p(zh) - neg_log_q) * (1.0 + zh) / zh
-        zh = zh - step / (1.0 - step / (2.0 * zh * (1.0 + zh)))
-    z[upper] = zh
-    return z
+    pick = rng.random(n) < m2 / (m2 + m3)
+    u = rng.random(n)
+    out = rng.standard_gamma(np.where(pick, 2.0, 3.0))
+    out *= np.where(pick, 1.0 / c - u * m2, np.sqrt(1.0 / np.square(c) - u * m3))
+    return out
 
 
 def _sample_dtl(rng, n, c, x_l, x_u):
     # Past x_l the Lindley density is tpld(1 + x_l, c) in x - x_l; in z = c (x - x_l)
-    # that is an Exp(1) / Gamma(2) mixture, here truncated to [0, zw] and
-    # inverted exactly per component.
+    # that is an Exp(1) / Gamma(2) mixture truncated to [0, zw].  Every position
+    # draws an Exp(1) variate truncated to [0, zw] by inversion; a Gamma(2) position
+    # adds a second one and keeps the sum where it is <= zw, else redraws the pair:
+    # two i.i.d. Exp(1) conditioned on E1 + E2 <= zw sum to Gamma(2) truncated to
+    # [0, zw], and a pair is kept with probability P(2, zw) / P(1, zw)^2 >= 1/2.
     zw = min(c * (x_u - x_l), _DTL_ZW_MAX)
     w_exp, w_gamma = _dtl_mass(c, x_l, x_u)
-    pick = rng.uniform(size=n) < w_exp / (w_exp + w_gamma)
-    u = rng.uniform(size=n)
-    z = -np.log1p(u * math.expm1(-zw))
-    gamma = ~pick
-    z[gamma] = _truncated_gamma2_inv(u[gamma], zw)
+    pick = rng.random(n) < w_exp / (w_exp + w_gamma)
+    em1 = math.expm1(-zw)
+    z = -np.log1p(rng.random(n) * em1)
+    todo = np.flatnonzero(~pick)
+    while todo.size:
+        s = z[todo] - np.log1p(rng.random(todo.size) * em1)
+        kept = s <= zw
+        z[todo[kept]] = s[kept]
+        todo = todo[~kept]
+        z[todo] = -np.log1p(rng.random(todo.size) * em1)
     # z / c can round a last bit past the window
     return np.clip(x_l + z / c, x_l, x_u)
 
 
 def _sample_lognormal(rng, n, m, sigma):
-    return m * np.exp(sigma * rng.standard_normal(n))
+    out = rng.standard_normal(n)
+    out *= sigma
+    np.exp(out, out=out)
+    out *= m
+    return out
 
 
 _SAMPLERS = {
@@ -838,12 +817,19 @@ def sample(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
     gamma mixtures, each position drawing one uniform to pick its component
     and then a variate of the picked component only; ``pld`` is a power of
     a ``lindley1`` draw; ``nwl`` is a gamma mixture over its rate; ``dtl``
-    mixes an exponential and a Gamma(2) each truncated to the window by
-    exact inversion; ``lognormal`` is ``m * exp(sigma * Z)``.  ``n`` must be
-    an integer >= 1 and ``seed`` an integer >= 0 (``bool`` is rejected for
-    both).  ``tpld`` with b < 0 has a signed density and raises
-    :class:`DomainError`.
+    mixes an exponential truncated to the window by exact inversion and a
+    Gamma(2) truncated to it as the sum of two such exponentials, redrawn
+    where the sum leaves the window; ``lognormal`` is ``m * exp(sigma * Z)``.
+    ``n`` must be an integer >= 1 and ``seed`` an integer >= 0 (``bool`` is
+    rejected for both).  ``tpld`` with b < 0 has a signed density and raises
+    :class:`DomainError`, as does a spec whose draws are not all finite
+    doubles (a law reaching past the doubles, such as ``pld(1, 1e-3)``).
     """
     _check_count("n", n, 1)
     _check_count("seed", seed, 0)
-    return _SAMPLERS[spec.family](np.random.default_rng(seed), int(n), *spec.params)
+    # an overflow shows up as a draw that is not finite, which raises below
+    with np.errstate(all="ignore"):
+        draws = _SAMPLERS[spec.family](np.random.default_rng(seed), int(n), *spec.params)
+    if not draws.max() < math.inf:   # also False on a NaN
+        raise DomainError(f"{spec} has draws that are not finite doubles")
+    return draws

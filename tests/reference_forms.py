@@ -6,11 +6,11 @@ closed forms.  Their Whittaker M and upper incomplete gamma factors come from
 mpmath, an implementation independent of the package.  They cancel badly at
 large rate*x, which is exactly why the shipped code uses incomplete-gamma
 compositions instead; at the moderate arguments used in tests both agree to
-~1e-10.  Also provides a Gamma(2) quantile oracle, the dtl sampler as it
-stood with scipy's gammaincinv, the exact dtl mean root, and an exact
-root oracle for the gld, ngld and nwl moment systems, used to count
-their roots and to decide whether a parameter vector is the canonical
-(smallest-c) root of its own moments.  Production code never imports this module.
+~1e-10.  Also provides textbook forms of the samplers of every family but
+dtl, the exact dtl mean root, and an exact root oracle for the gld, ngld
+and nwl moment systems, used to count their roots and to decide whether a
+parameter vector is the canonical (smallest-c) root of its own moments.
+Production code never imports this module.
 """
 
 import math
@@ -19,7 +19,6 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 from numpy.polynomial import Polynomial, polynomial
-from scipy import special
 
 exp = math.exp
 
@@ -213,65 +212,29 @@ def pld_variance_exact(b, c):
         return float(raw(2) - raw(1) ** 2)
 
 
-def gamma2_cdf(z):
-    """P(2, z) = e^{-z} sum_{k >= 2} z^k / k! as an mpf, at the caller's working precision.
+def mixture_sample(rng, n, w1, s1, s2, rate):
+    """n draws of w1 Gamma(s1, rate) + (1 - w1) Gamma(s2, rate), drawn as written.
 
-    Every term is positive, so no digit cancels however small z is.
+    A uniform per position picks its component; then the first component's
+    variates fill the positions it picked, in order, and the second's the rest.
     """
-    z = mpmath.mpf(z)
-    term = total = z * z / 2
-    k = 2
-    while term > total * mpmath.eps:
-        k += 1
-        term = term * z / k
-        total += term
-    return mpmath.exp(-z) * total
+    pick = rng.uniform(size=n) < w1
+    out = np.empty(n)
+    out[pick] = rng.gamma(s1, 1.0 / rate, np.count_nonzero(pick))
+    out[~pick] = rng.gamma(s2, 1.0 / rate, np.count_nonzero(~pick))
+    return out
 
 
-def gamma2_quantile(v):
-    """z with P(2, z) = v for 0 < v < 1, at least 40 correct digits.
-
-    ``v`` is taken as exact (a float or an mpf).  Newton steps at 60 digits
-    on log P(2, z) = log v below v = 1/2, and on the Q(2, z) = e^{-z} (1 + z)
-    form z - log1p(z) = -log(1 - v) above it, where 1 - v is exact.
-    """
-    with mpmath.workdps(60):
-        v = mpmath.mpf(v)
-        tol = mpmath.mpf(10) ** -50
-        if v < 0.5:
-            z = mpmath.sqrt(2 * v)
-            for _ in range(100):
-                p = gamma2_cdf(z)
-                step = mpmath.log(p / v) * p / (z * mpmath.exp(-z))
-                z -= step
-                if abs(step) < tol * z:
-                    return z
-        else:
-            neg_log_q = -mpmath.log(1 - v)
-            z = neg_log_q + 1
-            for _ in range(100):
-                step = (z - mpmath.log1p(z) - neg_log_q) * (1 + z) / z
-                z -= step
-                if abs(step) < tol * z:
-                    return z
-    raise ArithmeticError(f"gamma2_quantile did not converge at v={v}")
-
-
-def dtl_sample_gammaincinv(rng, n, c, x_l, x_u):
-    """The dtl sampler with scipy's gammaincinv for its Gamma(2) part.
-
-    Same uniforms in the same order as the shipped sampler: a pick between the
-    Exp(1) and Gamma(2) parts of the shifted variable z = c (x - x_l), each
-    truncated to [0, c (x_u - x_l)] and inverted at a second uniform.
-    """
-    zw = c * (x_u - x_l)
-    w_exp, p2 = (1.0 + x_l) * c * -np.expm1(-zw), special.gammainc(2.0, zw)
-    pick = rng.uniform(size=n) < w_exp / (w_exp + p2)
+def nwl_sample(rng, n, m2, m3, c):
+    """n nwl draws from its part masses (m2, m3): Gamma(2 or 3) at a scale 1/r drawn by inversion."""
+    pick = rng.uniform(size=n) < m2 / (m2 + m3)
     u = rng.uniform(size=n)
-    z = np.empty(n)
-    z[pick] = -np.log1p(u[pick] * math.expm1(-zw))
-    z[~pick] = special.gammaincinv(2.0, u[~pick] * p2)
-    return np.clip(x_l + z / c, x_l, x_u)
+    scale = np.where(pick, 1.0 / c - u * m2, np.sqrt(1.0 / (c * c) - u * m3))
+    return rng.gamma(np.where(pick, 2.0, 3.0), scale)
+
+
+def lognormal_sample(rng, n, m, sigma):
+    return m * np.exp(sigma * rng.standard_normal(n))
 
 
 def nwl_forms(b, c, xs):

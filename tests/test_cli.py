@@ -70,6 +70,16 @@ class TestSynth:
         assert len(lines) == 1 and lines[0].startswith("error:"), err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_draws_past_the_doubles_give_config_error(self, tmp_path, capsys):
+        # pld(1, 1e-3) draws t^1000 for t ~ lindley1(1), which overflows for t > 2.03
+        code, _, err = run(capsys, "synth", "--family", "pld", "--params", "1,0.001",
+                           "--n", "1000", "--seed", "0", "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "not finite" in lines[0], err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_family(self, tmp_path, capsys):
         # the message fit gives, with the valid names, not the enum's "'weibull' is not a valid Family"
         code, _, err = run(capsys, "synth", "--family", "weibull", "--params", "1.0",

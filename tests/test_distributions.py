@@ -8,7 +8,7 @@ from scipy import integrate, stats
 import lindleyfit as lf
 import reference_forms as ref
 from conftest import ALL_FAMILIES, SELF_SAMPLE_SPECS, interior_grid, random_spec
-from lindleyfit.distributions import Family, _truncated_gamma2_inv
+from lindleyfit.distributions import _MIXTURES, Family, _nwl_masses
 from lindleyfit.errors import (
     DomainError,
     FamilyError,
@@ -692,6 +692,10 @@ SAMPLER_EDGE_SPECS = [
     lf.dtl(2.0, 300.0, 300.5),
     lf.dtl(2.0, 0.0, 1e-6),
     lf.dtl(0.01, 0.0, 1e4),
+    # zw = 1 and 0.1: about 98% of the draws come from the Gamma(2) part, whose
+    # sum of two truncated exponentials is kept with probability 0.66 and 0.52
+    lf.dtl(0.01, 0.0, 100.0),
+    lf.dtl(1e-4, 0.0, 1e3),
 ]
 SAMPLER_SPECS = list(SELF_SAMPLE_SPECS.values()) + SAMPLER_EDGE_SPECS
 
@@ -762,8 +766,8 @@ class TestSampling:
                 1.0149248028324873, 5.516137570444667, 1.4114769411864552, 6.915227351192805,
             ]),
             (lf.dtl(2.71, 0.019, 1.46), [
-                0.15873964399439378, 0.23895600197984287, 0.23407047933416997, 0.07864855876710429,
-                0.3756048080229951, 0.47896581737678834, 1.2054728717640522, 0.41147873235727184,
+                0.6869206239214183, 0.23895600197984287, 0.28112353135133744, 0.07864855876710429,
+                0.3756048080229951, 1.2001738224637555, 1.2556285410136643, 0.20186862797264152,
             ]),
         ],
         ids=str,
@@ -784,19 +788,55 @@ class TestSampling:
         picked_first = np.random.default_rng(seed).uniform(size=n) < 0.5
         np.testing.assert_array_equal(draws > 100.0, picked_first)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("spec", [s for s in SAMPLER_SPECS if s.family is Family.DTL], ids=str)
-    def test_dtl_draws_match_the_gammaincinv_sampler(self, spec, seed):
-        # same uniforms, same inversion: only the Gamma(2) quantile's rounding differs
-        got = lf.sample(spec, 100_000, seed)
-        want = ref.dtl_sample_gammaincinv(np.random.default_rng(seed), 100_000, *spec.params)
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    @pytest.mark.parametrize("family", [f for f in Family if f is not Family.DTL], ids=lambda f: f.value)
+    def test_streams_match_the_textbook_samplers(self, family, n):
+        # draw for draw against reference_forms' samplers, which draw the same variates with
+        # rng.uniform, boolean masks and rng.gamma(shape, scale); they share only the weights
+        rng = np.random.default_rng([33, n])
+        for _ in range(20):
+            spec = random_spec(family, rng, nonneg=True)
+            seed = int(rng.integers(2**32))
+            gen, p = np.random.default_rng(seed), spec.params
+            if family in _MIXTURES:
+                w1, _, s1, s2, rate = _MIXTURES[family](*p)
+                want = ref.mixture_sample(gen, n, w1, s1, s2, rate)
+            elif family is Family.PLD:
+                w1, _, s1, s2, rate = _MIXTURES[Family.LINDLEY1](p[0])
+                want = ref.mixture_sample(gen, n, w1, s1, s2, rate) ** (1.0 / p[1])
+            elif family is Family.NWL:
+                want = ref.nwl_sample(gen, n, *_nwl_masses(*p), p[1])
+            else:
+                want = ref.lognormal_sample(gen, n, *p)
+            np.testing.assert_array_equal(lf.sample(spec, n, seed), want, err_msg=str(spec))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "spec",
+        # draws past the doubles: t^1000 for t ~ lindley1(1), and scales 1/c that overflow
+        [lf.pld(1.0, 1e-3), lf.lindley1(1e-310), lf.gld(2.0, 1e-310, 1.0), lf.nwl(1.0, 1e-310)],
+        ids=str,
+    )
+    def test_draws_past_the_doubles_raise_a_domain_error(self, spec):
+        with pytest.raises(DomainError, match=r"not finite") as info:
+            lf.sample(spec, 1000, 0)
+        assert str(spec) in str(info.value)
+
+    @pytest.mark.filterwarnings("error")
+    def test_dtl_draws_where_its_mass_overflows(self):
+        # the Gamma(2) mass w^2 P(2, zw) / zw^2 overflows at w = 1e300, which leaves the
+        # Exp(1) part a pick weight of 0 for an exact 2e-300; with c x <= 1e-10 the
+        # law is then the density 2 x / 1e300^2 to 1e-10
+        draws = lf.sample(lf.dtl(1e-310, 0.0, 1e300), 1000, 0)
+        assert np.all((draws >= 0.0) & (draws <= 1e300))
+        assert stats.kstest(draws, lambda x: (x / 1e300) ** 2).pvalue >= 1e-6
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("c", [1e-100, 1e-160, 1e-200, 1e-300])
     def test_dtl_draws_at_tiny_rate(self, c):
-        # as c (x_u - x_l) -> 0 the law on [0, 1] tends to density (1 + x) / 1.5;
-        # where P(2, c) underflowed every draw fell in the Exp(1) part
+        # as c (x_u - x_l) -> 0 the law on [0, 1] tends to density (1 + x) / 1.5: the
+        # pick splits 2:1 between the Exp(1) and Gamma(2) parts, whose scaled masses
+        # do not underflow, and a Gamma(2) pair is kept with probability near 1/2
         draws = lf.sample(lf.dtl(c, 0.0, 1.0), 100_000, 3)
         p = stats.kstest(draws, lambda x: (x + 0.5 * x * x) / 1.5).pvalue
         assert p >= 1e-6, (c, p)
@@ -831,29 +871,3 @@ class TestSampling:
         # legal vector, but its signed density is no distribution to draw from
         with pytest.raises(DomainError):
             lf.sample(lf.tpld(-0.099, 4.2), 10, 1)
-
-
-class TestTruncatedGamma2Inverse:
-    """The dtl sampler's Gamma(2) quantile against a 60-digit Newton oracle."""
-
-    @staticmethod
-    def _assert_quantiles(got, targets):
-        for g, v in zip(got, targets):
-            want = ref.gamma2_quantile(v)
-            assert abs(g - want) <= 1e-14 * want, (v, g, want)
-
-    def test_untruncated(self):
-        # P(2, 800) is 1 to far below an ulp, so this inverts P(2, z) = u itself;
-        # the two branches join at v = 0.3, and the oracle switches form at 0.5
-        near = [v + k * np.spacing(v) for v in (0.3, 0.5) for k in range(-3, 4)]
-        vs = np.concatenate([np.geomspace(1e-300, 0.5, 400), 1.0 - np.geomspace(0.5, 1e-12, 200), near])
-        self._assert_quantiles(_truncated_gamma2_inv(vs, 800.0), vs)
-
-    # P(2, zw) / zw^2 switches from its series to the expm1 form past zw = 2
-    @pytest.mark.parametrize("zw", [1e-300, 1e-150, 1e-6, 0.5, 1.0, 2.0, 2.0000000000000004, 3.905, 30.0])
-    def test_truncated(self, zw):
-        u = np.concatenate([[2.0**-53, 1e-9, 0.5, 1.0 - 2.0**-53], np.random.default_rng(0).uniform(size=40)])
-        got = _truncated_gamma2_inv(u, zw)
-        with mpmath.workdps(60):
-            p2w = ref.gamma2_cdf(zw)
-            self._assert_quantiles(got, [mpmath.mpf(ui) * p2w for ui in u])
