@@ -331,8 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "fit":
             config = RunConfig(
@@ -356,16 +355,14 @@ def main(argv=None) -> int:
                 out_dir=args.out,
             )
             return cmd_plotdata(config, families[0])
-        if args.command == "synth":
-            params = [float(tok) for tok in args.params.split(",") if tok.strip()]
-            if args.n < 1:
-                raise ValueError(f"--n must be >= 1, got {args.n}")
-            return cmd_synth(families[0], params, args.n, args.seed, args.out)
-        parser.error(f"unknown command {args.command!r}")
+        # the subparsers admit only fit, plotdata and synth: what is left is synth
+        params = [float(tok) for tok in args.params.split(",") if tok.strip()]
+        if args.n < 1:
+            raise ValueError(f"--n must be >= 1, got {args.n}")
+        return cmd_synth(families[0], params, args.n, args.seed, args.out)
     except (LindleyFitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

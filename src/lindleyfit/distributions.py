@@ -13,10 +13,17 @@ from that one map.  ``pld`` is ``lindley1`` at a power of x, ``nwl`` is a
 gamma(2)/gamma(3) mixture over its rate, and ``dtl``'s moments are those of
 a truncated exponential/gamma(2) mixture past ``x_l``.
 
+Each integral is written once.  The mixture raw moment is the moment
+helpers' form and the ``ngld`` solver's defect alike.  One truncated Lindley
+mass, the integral of (1 + t) e^{-rt} over a window, gives the ``dtl``
+density, distribution functions and draws, and the ``nwl`` cdf, which is
+that mass from 0 to x at the rates c and c(1 + b).
+
 Shipped CDFs are written as compositions of regularized incomplete gamma
-functions (or plain exponential survival terms) rather than as the textbook
-single-expression forms, which cancel badly at large rate*x.  The textbook
-forms are retained in the test suite as independent cross-checks.
+functions, scaled incomplete gammas or plain exponential survival terms
+rather than as the textbook single-expression forms, which cancel badly at
+large rate*x.  The textbook forms are retained in the test suite as
+independent cross-checks.
 
 ``sample`` never inverts a CDF numerically: every law is a gamma variate,
 possibly mixed, powered, shifted or truncated, and each family draws from
@@ -286,18 +293,13 @@ _cdf_mixture = functools.partial(_mixture_sum, specfun.reg_gamma_p_arr)
 _sf_mixture = functools.partial(_mixture_sum, specfun.reg_gamma_q_arr)
 
 
-def _rising(x, n: int):
-    """x (x+1) ... (x+n-1), which is Gamma(x+n) / Gamma(x) for an integer n >= 0."""
-    out = x if n else 1.0
-    for k in range(1, n):
-        out = out * (x + k)
-    return out
-
-
 def _raw_moment_mixture(mix, r, *params):
-    # times rate**-r, so a tiny rate raises OverflowError instead of dividing by 0
+    # w1 prod_k (s1 + k)/rate + w2 prod_k (s2 + k)/rate, k < r: each factor is a
+    # ratio, so no power of a shape or of the rate overflows where the moment is a double
     w1, w2, s1, s2, rate = mix(*params)
-    return (w1 * _rising(s1, r) + w2 * _rising(s2, r)) * rate ** -r
+    for k in range(r):
+        w1, w2 = w1 * ((s1 + k) / rate), w2 * ((s2 + k) / rate)
+    return w1 + w2
 
 
 def _mean_variance_mixture(mix, *params):
@@ -382,18 +384,27 @@ _DTL_ZW_MAX = 1e50
 
 
 def _dtl_mass(c, lo, hi):
-    """M(lo, hi) as its two positive parts, M the mass of (1 + x) e^{-c (x - lo)} on [lo, hi].
+    """M(lo, hi), the mass of (1 + x) e^{-c (x - lo)} on [lo, hi], per unit width: (w, K1, K2), M = w (K1 + K2).
 
     In z = c (x - lo) the integrand is (c (1 + lo) + z) e^{-z} / c^2, the
     Exp(1) / Gamma(2) mixture of tpld(1 + lo, c) past lo, so with w = hi - lo
-    and zw = c w the mass is w ((1 + lo) P(1, zw) / zw + w P(2, zw) / zw^2).
-    No term cancels, and none underflows however small zw is.  The dtl
-    density is (1 + x) e^{-c (x - x_l)} / M(x_l, x_u), its cdf
-    M(x_l, x) / M(x_l, x_u) and its sf e^{-c (x - x_l)} M(x, x_u) / M(x_l, x_u).
+    and zw = c w the parts are K1 = (1 + lo) P(1, zw) / zw and
+    K2 = w P(2, zw) / zw^2.  No term cancels, none underflows however small zw
+    is, and neither part overflows where M alone would (w past 1e154).  The
+    dtl density is (1 + x) e^{-c (x - x_l)} / M(x_l, x_u), its cdf
+    M(x_l, x) / M(x_l, x_u) and its sf e^{-c (x - x_l)} M(x, x_u) / M(x_l, x_u),
+    each a ratio of these values; nwl's cdf reads the same mass at lo = 0.
     """
     w = np.minimum(hi - lo, _DTL_ZW_MAX / c)
     p1, p2 = _scaled_p(c * w, 2)
-    return w * (1.0 + lo) * p1, w * w * p2
+    return w, (1.0 + lo) * p1, w * p2
+
+
+def _dtl_mass_ratio(c, lo, hi, x_l, x_u):
+    """M(lo, hi) / M(x_l, x_u), formed from the masses per unit width."""
+    w, k1, k2 = _dtl_mass(c, lo, hi)
+    w0, k10, k20 = _dtl_mass(c, x_l, x_u)
+    return w / w0 * ((k1 + k2) / (k10 + k20))
 
 
 def _dtl_moments(z, a, w, k):
@@ -430,7 +441,8 @@ def _pdf_nwl(x, b, c):
 
 
 def _pdf_dtl(x, c, x_l, x_u):
-    return (1.0 + x) * np.exp(-c * (x - x_l)) / sum(_dtl_mass(c, x_l, x_u))
+    w, k1, k2 = _dtl_mass(c, x_l, x_u)
+    return (1.0 + x) * np.exp(-c * (x - x_l)) / w / (k1 + k2)
 
 
 def _pdf_lognormal(x, m, sigma):
@@ -456,15 +468,16 @@ _PDF = {
 # --------------------------------------------------------------------------
 
 def _cdf_nwl(x, b, c):
+    # the rate map's (G(c) - G(c2)) / (m2 + m3), G(r) = int_0^x (1 + t) e^{-rt} dt being
+    # the dtl mass at rate r on [0, x]; G(c2) is 0 where c2 = c (1 + b) overflows
     c2 = c * (1.0 + b)
-    z1, z2 = c * x, c2 * x
-    g1 = specfun.reg_gamma_p_arr(1.0, z1) / c + specfun.reg_gamma_p_arr(2.0, z1) / (c * c)
-    g2 = specfun.reg_gamma_p_arr(1.0, z2) / c2 + specfun.reg_gamma_p_arr(2.0, z2) / (c2 * c2)
-    return np.clip((g1 - g2) / sum(_nwl_masses(b, c)), 0.0, 1.0)
+    w, k1, k2 = _dtl_mass(c, 0.0, x)
+    w2, h1, h2 = _dtl_mass(c2, 0.0, x) if c2 < math.inf else (0.0, 0.0, 0.0)
+    return np.clip((w * (k1 + k2) - w2 * (h1 + h2)) / sum(_nwl_masses(b, c)), 0.0, 1.0)
 
 
 def _cdf_dtl(x, c, x_l, x_u):
-    return np.clip(sum(_dtl_mass(c, x_l, x)) / sum(_dtl_mass(c, x_l, x_u)), 0.0, 1.0)
+    return np.clip(_dtl_mass_ratio(c, x_l, x, x_l, x_u), 0.0, 1.0)
 
 
 def _cdf_lognormal(x, m, sigma):
@@ -489,7 +502,7 @@ def _sf_nwl(x, b, c):
 
 
 def _sf_dtl(x, c, x_l, x_u):
-    return np.exp(-c * (x - x_l)) * sum(_dtl_mass(c, x, x_u)) / sum(_dtl_mass(c, x_l, x_u))
+    return np.exp(-c * (x - x_l)) * _dtl_mass_ratio(c, x, x_u, x_l, x_u)
 
 
 def _sf_lognormal(x, m, sigma):
@@ -772,8 +785,8 @@ def _sample_dtl(rng, n, c, x_l, x_u):
     # two i.i.d. Exp(1) conditioned on E1 + E2 <= zw sum to Gamma(2) truncated to
     # [0, zw], and a pair is kept with probability P(2, zw) / P(1, zw)^2 >= 1/2.
     zw = min(c * (x_u - x_l), _DTL_ZW_MAX)
-    w_exp, w_gamma = _dtl_mass(c, x_l, x_u)
-    pick = rng.random(n) < w_exp / (w_exp + w_gamma)
+    _, k1, k2 = _dtl_mass(c, x_l, x_u)
+    pick = rng.random(n) < k1 / (k1 + k2)
     em1 = math.expm1(-zw)
     z = -np.log1p(rng.random(n) * em1)
     todo = np.flatnonzero(~pick)

@@ -246,11 +246,12 @@ def _ngld_candidates(t: MomentTargets):
 
     The mean gives b = c (m1 - d) and the variance c = (m1 + d^2)/s2, so every
     d < m1 fixes the whole vector.  In c these are two branches that meet at
-    the fold c = m1/s2 (d = 0); in d they are one.  The third moment,
-    c a(a+1)(a+2) + b(b+1)(b+2) = (1+c) c^3 m3, is the 1-D defect, written in
-    u = 1/c, a/c and b/c so that no product of moments overflows.  With
-    q = 1 + m1 x^2, sigma = s2/m1, A = m1 q + s2 x = a q/c and B = m1 (1 - x),
-    the defect is P(x)/(m3 q^2 (q + sigma)), where
+    the fold c = m1/s2 (d = 0); in d they are one.  The 1-D defect is the
+    distribution layer's third raw moment at that vector over m3, less 1: the
+    judge's own form, whose factors (a + k)/c and (b + k)/c do not overflow
+    where the moment is a double.  With q = 1 + m1 x^2, sigma = s2/m1,
+    A = m1 q + s2 x = a q/c and B = m1 (1 - x), the defect is
+    P(x)/(m3 q^2 (q + sigma)), where
 
         P = A(A + sigma)(A + 2 sigma) + sigma B(Bq + sigma)(Bq + 2 sigma) - m3 q^2 (q + sigma)
 
@@ -259,16 +260,15 @@ def _ngld_candidates(t: MomentTargets):
     the roots of P, and the upper end is 1 - 1e-11 (b/c = 1e-11 m1).
     """
     m1, s2, m3 = t.xbar, t.s2, t.xbar3
+    raw_moment = dist._RAW_MOMENT[Family.NGLD]
 
-    def ratios(x):
-        u = s2 / (m1 * (1.0 + m1 * x * x))
-        return u, m1 * (1.0 + x * u), m1 * (1.0 - x)   # 1/c, a/c, b/c
+    def vector(x):
+        u = s2 / (m1 * (1.0 + m1 * x * x))   # 1/c
+        return m1 * (1.0 + x * u) / u, m1 * (1.0 - x) / u, 1.0 / u
 
     def g(x):
         # not masked where a <= 0: its sign is P's everywhere
-        u, alpha, beta = ratios(x)
-        third = alpha * (alpha + u) * (alpha + 2.0 * u) + u * beta * (beta + u) * (beta + 2.0 * u)
-        return third / ((1.0 + u) * m3) - 1.0
+        return raw_moment(3, *vector(x)) / m3 - 1.0
 
     f1, fs, f3 = Fraction(m1), Fraction(s2), Fraction(m3)
     sigma, q = fs / f1, 1 + f1 * _X**2
@@ -278,8 +278,7 @@ def _ngld_candidates(t: MomentTargets):
     bound = 2.0 ** min(1.0 + max((lg[i] - lg[-1]) / (len(lg) - 1 - i) for i in range(len(lg) - 1)), 1000.0)
     cuts = np.concatenate([_real_roots(polynomial.polyder(p.coef)), _real_roots(a.coef)])
     x, root = _cut_roots(g, -bound, _UNIT_ENDS[1], cuts)
-    u, alpha, beta = ratios(x)
-    return np.column_stack([alpha / u, beta / u, 1.0 / u]), root
+    return np.column_stack(vector(x)), root
 
 
 def _nwl_candidates(t: MomentTargets):

@@ -1,10 +1,10 @@
 """Special functions backing the distribution layer: scipy.special with domain checks.
 
 Everything here is real-valued and double precision.  The regularized
-incomplete gamma functions and the array error functions delegate to
-``scipy.special`` (``gammainc``/``gammaincc``, DiDonato & Morris, ACM TOMS 12
-(1986) 377, and ``erf``/``erfc``).  This module only adds the argument checks,
-raising :class:`~lindleyfit.errors.DomainError` outside the domain instead of
+incomplete gamma functions delegate to ``scipy.special``
+(``gammainc``/``gammaincc``, DiDonato & Morris, ACM TOMS 12 (1986) 377).
+This module only adds the argument checks, raising
+:class:`~lindleyfit.errors.DomainError` outside the domain instead of
 returning NaN.  ``gammainc``/``gammaincc`` return exactly 1 and 0 at
 ``z = inf``, so the array kernels accept an infinite argument.
 """
@@ -55,13 +55,3 @@ def reg_gamma_q_arr(a: float, z: np.ndarray) -> np.ndarray:
     """Element-wise Q(a, z) = 1 - P(a, z), computed directly (z = inf gives 0)."""
     a, z = _check_array("reg_gamma_q_arr", a, z)
     return special.gammaincc(a, z)
-
-
-def erf_arr(x: np.ndarray) -> np.ndarray:
-    """Element-wise error function."""
-    return special.erf(np.asarray(x, dtype=float))
-
-
-def erfc_arr(x: np.ndarray) -> np.ndarray:
-    """Element-wise complementary error function."""
-    return special.erfc(np.asarray(x, dtype=float))

@@ -238,14 +238,15 @@ def lognormal_sample(rng, n, m, sigma):
 
 
 def nwl_forms(b, c, xs):
-    """nwl (mean, variance, m3) and (pdf, sf) at each x in ``xs``, at 40 digits.
+    """nwl (mean, variance, m3) and (pdf, sf, cdf) at each x in ``xs``, at 40 digits.
 
     The density is (1 + x) e^{-cx} (1 - e^{-cbx}) / N.  Its moments and tail
     come from the antiderivatives of x^k e^{-cx} at rates c and c2 = c(1 + b),
     taken as differences: E[X^r] N = r! (c^-(r+1) - c2^-(r+1))
-    + (r+1)! (c^-(r+2) - c2^-(r+2)) and the sf is (h(c) - h(c2)) / N with
-    h(r) = e^{-rx} (1 + r + rx) / r^2.  Each difference loses log10(1/b)
-    digits, at most 12 of the 40 on the tests' points.
+    + (r+1)! (c^-(r+2) - c2^-(r+2)), the sf is (h(c) - h(c2)) / N with
+    h(r) = e^{-rx} (1 + r + rx) / r^2, and the cdf is (G(c) - G(c2)) / N with
+    G(r) = int_0^x (1 + t) e^{-rt} dt = (1 + 1/r)/r - h(r).  Each difference
+    loses log10(1/b) digits, at most 12 of the 40 on the tests' points.
     """
     with mpmath.workdps(40):
         b, c = mpmath.mpf(b), mpmath.mpf(c)
@@ -265,7 +266,8 @@ def nwl_forms(b, c, xs):
         points = []
         for x in (mpmath.mpf(x) for x in xs):
             pdf = (1 + x) * mpmath.exp(-c * x) * -mpmath.expm1(-c * b * x) / n
-            points.append((float(pdf), float((h(c, x) - h(c2, x)) / n)))
+            cdf = ((1 + 1 / c) / c - h(c, x) - (1 + 1 / c2) / c2 + h(c2, x)) / n
+            points.append((float(pdf), float((h(c, x) - h(c2, x)) / n), float(cdf)))
         return moments, points
 
 

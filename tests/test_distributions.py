@@ -272,6 +272,17 @@ class TestTextbookFormCrossChecks:
                 if want >= 1e-300:
                     assert g == pytest.approx(want, rel=1e-12), (form, x, g, want)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [1e299, 5e299])
+    def test_dtl_forms_where_the_mass_overflows(self, x):
+        # the mass w (K1 + K2) of dtl(1e-310, 0, 1e300) is about 5e599; the forms
+        # read it per unit width, where w^2 P(2, c w) / (c w)^2 overflowed: the
+        # pdf was 0 and the cdf and sf NaN, with a RuntimeWarning
+        spec = lf.dtl(1e-310, 0.0, 1e300)
+        got = (lf.pdf(spec, x), lf.cdf(spec, x), lf.sf(spec, x))
+        for form, g, want in zip(("pdf", "cdf", "sf"), got, ref.dtl_forms(x, 1e-310, 0.0, 1e300)):
+            assert g == pytest.approx(want, rel=1e-12, abs=0.0), (form, g, want)
+
     DTL_MOMENT_CASES = [
         (c, x_l, x_u)
         for c in (1e-300, 1e-110, 1e-100, 1e-80, 1e-20, 1e-3, 1.0, 40.0, 1e3)
@@ -379,18 +390,22 @@ class TestTextbookFormCrossChecks:
     def test_nwl_forms_against_mpmath(self, b, c):
         # mean, variance, m3, pdf and sf within 1e-12 of the exact value
         # wherever it is at least 1e-300; the forms written as differences of
-        # the two rate ends lost up to 4e-4 of the variance at small b
+        # the two rate ends lost up to 4e-4 of the variance at small b.  The
+        # cdf, still such a difference, is held to 1e-11 for b >= 1 only: below
+        # it cancels as c b x shrinks (ROADMAP item 6)
         spec = lf.nwl(b, c)
         xs = np.array([1e-4, 0.1, 1.0, 5.0, 30.0]) / c
         moments, points = ref.nwl_forms(b, c, xs)
         got = [lf.mean(spec), lf.variance(spec), lf.raw_moment(spec, 3)]
         for what, g, want in zip(("mean", "variance", "m3"), got, moments):
             assert g == pytest.approx(want, rel=1e-12, abs=0.0), (what, g, want)
-        pdf, sf = lf.pdf(spec, xs), lf.sf(spec, xs)
-        for i, (want_pdf, want_sf) in enumerate(points):
+        pdf, sf, cdf = lf.pdf(spec, xs), lf.sf(spec, xs), lf.cdf(spec, xs)
+        for i, (want_pdf, want_sf, want_cdf) in enumerate(points):
             for what, g, want in (("pdf", pdf[i], want_pdf), ("sf", sf[i], want_sf)):
                 if want >= 1e-300:
                     assert g == pytest.approx(want, rel=1e-12, abs=0.0), (what, xs[i], g, want)
+            if b >= 1.0:
+                assert cdf[i] == pytest.approx(want_cdf, rel=1e-11, abs=0.0), ("cdf", xs[i], cdf[i], want_cdf)
 
     def test_dtl_whittaker_moment_form(self):
         for c, x_l, x_u in [(2.0, 0.1, 3.0), (2.71, 0.019, 1.46), (4.81, 0.158, 1.317)]:
@@ -585,6 +600,12 @@ class TestMoments:
         assert lf.mean(spec) == pytest.approx(2.5e-308, rel=1e-14)
         # 0.5 Gamma(3, b) + 0.5 Gamma(2, b) at b x = 4, by mpmath
         assert lf.pdf(spec, 4e-308) == pytest.approx(1.0989383333240508e307, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [lf.ngld(1e110, 1.0, 1e110), lf.gld(1e110, 1e110, 1.0)], ids=str)
+    def test_mixture_moment_survives_huge_shapes_and_rate(self, spec):
+        # m3 = 1, but the shape's rising factorial (1e330) and rate^-3 (1e-330) both
+        # leave the doubles; the form takes each factor (s + k) / rate alone
+        assert lf.raw_moment(spec, 3) == pytest.approx(1.0, rel=1e-13)
 
     def test_extreme_rates_named_in_the_overflow_report(self):
         assert lf.variance(lf.lindley1(1e100)) == pytest.approx(1e-200, rel=1e-14)
@@ -824,9 +845,9 @@ class TestSampling:
 
     @pytest.mark.filterwarnings("error")
     def test_dtl_draws_where_its_mass_overflows(self):
-        # the Gamma(2) mass w^2 P(2, zw) / zw^2 overflows at w = 1e300, which leaves the
-        # Exp(1) part a pick weight of 0 for an exact 2e-300; with c x <= 1e-10 the
-        # law is then the density 2 x / 1e300^2 to 1e-10
+        # the mass w (K1 + K2) is about 5e599 at w = 1e300; per unit width the Exp(1)
+        # part keeps its pick weight K1 / (K1 + K2) = 2e-300, and with c x <= 1e-10
+        # the law is the density 2 x / 1e300^2 to 1e-10
         draws = lf.sample(lf.dtl(1e-310, 0.0, 1e300), 1000, 0)
         assert np.all((draws >= 0.0) & (draws <= 1e300))
         assert stats.kstest(draws, lambda x: (x / 1e300) ** 2).pvalue >= 1e-6

@@ -354,6 +354,14 @@ class TestThreeParam:
         assert r.spec.params[2] > 1e6
         assert np.all(np.abs(r.residuals) <= est.MOMENT_TOL * np.array([t.xbar, t.s2 + t.xbar**2, t.xbar3]))
 
+    def test_ngld_root_with_huge_shape_and_rate_passes_the_judge(self):
+        # m3 = 1 here; the mixture moment overflowed in a^3 and c^-3, so neither these
+        # targets nor the judge's defect of the solver's root were finite
+        t = est.targets_from_spec(lf.ngld(1e110, 1.0, 1e110))
+        r = est.estimate(Family.NGLD, t)
+        assert np.all(np.abs(r.residuals) <= est.MOMENT_TOL * np.array([t.xbar, t.s2 + t.xbar**2, t.xbar3]))
+        assert lf.raw_moment(r.spec, 3) == pytest.approx(t.xbar3, rel=est.MOMENT_TOL)
+
     def test_ngld_canonical_root(self):
         # its targets have another exact root, at c = 6.10
         t = est.targets_from_spec(lf.ngld(84.375, 1.769, 0.17))

@@ -70,14 +70,6 @@ class TestUpperIncompleteGamma:
             specfun.reg_gamma_p_arr(2.0, np.array([1.0, -0.5]))
 
 
-class TestErf:
-    def test_monotone_and_bounded(self):
-        xs = np.linspace(-10.0, 10.0, 201)
-        vals = specfun.erf_arr(xs)
-        assert np.all(np.diff(vals) >= 0.0)
-        assert np.all(np.abs(vals) <= 1.0)
-
-
 class TestWhittakerM:
     # the test oracle reference_forms._whit; these cases pin its argument order
 
