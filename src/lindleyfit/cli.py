@@ -7,9 +7,12 @@ Subcommands:
 * ``plotdata``  write histogram / fitted-PDF / CDF curves as CSV columns.
 * ``synth``     write synthetic draws from a known distribution as CSV.
 
+An ``--input`` directory stands for every ``*.csv`` in it, in sorted order.
+
 Exit codes: 0 success, 1 partial failure (some families failed to fit),
-2 configuration or I/O error.  A catalog that cannot be read or summarised
-gives exit code 2, but the other catalogs are still fitted.
+2 configuration or I/O error.  A catalog that cannot be read or summarised,
+or a directory with no ``*.csv``, gives exit code 2, but the other catalogs
+are still fitted.
 """
 
 from __future__ import annotations
@@ -211,16 +214,23 @@ def _write_report(report: dict, config: RunConfig) -> None:
 def _each_catalog(paths, work) -> int:
     """``work(path)`` for every catalog in order; the worst exit code of them all.
 
-    A catalog that cannot be read or summarised is reported on stderr with
-    exit code 2, and the catalogs after it still run.
+    A directory stands for its ``*.csv`` files in sorted order, and one with
+    none is a configuration error.  A catalog that cannot be read or
+    summarised is reported on stderr with exit code 2, and the catalogs after
+    it still run.
     """
     status = 0
-    for path in paths:
-        try:
-            status = max(status, work(path))
-        except (LindleyFitError, ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+    for arg in paths:
+        files = sorted(Path(arg).glob("*.csv")) if Path(arg).is_dir() else [arg]
+        if not files:
+            print(f"error: no *.csv catalogs in directory {arg}", file=sys.stderr)
             status = 2
+        for path in files:
+            try:
+                status = max(status, work(str(path)))
+            except (LindleyFitError, ValueError, OSError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                status = 2
     return status
 
 
@@ -305,7 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fit = sub.add_parser("fit", help="fit families to catalogs and print a comparison table")
-    fit.add_argument("--input", action="append", required=True, help="catalog CSV (repeatable)")
+    fit.add_argument("--input", action="append", required=True,
+                     help="catalog CSV, or a directory of them (repeatable)")
     fit.add_argument("--column", default="0", help="mass column: zero-based index or header name")
     fit.add_argument("--families", default="all", help="comma list of families, or 'all'")
     fit.add_argument("--bins", type=int, default=20, help="number of linear bins (default 20)")
@@ -314,7 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--out", default=None, help="directory for machine-readable reports")
 
     plot = sub.add_parser("plotdata", help="write plot-ready CSV columns for one family")
-    plot.add_argument("--input", action="append", required=True, help="catalog CSV (repeatable)")
+    plot.add_argument("--input", action="append", required=True,
+                      help="catalog CSV, or a directory of them (repeatable)")
     plot.add_argument("--column", default="0")
     plot.add_argument("--family", required=True, help="family to plot")
     plot.add_argument("--bins", type=int, default=20)

@@ -46,7 +46,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import special
 
-from . import specfun
 from .errors import (
     DomainError,
     FamilyError,
@@ -249,28 +248,22 @@ def _per_mixture(form) -> dict:
 
 
 def _gamma_pdf_arr(x: np.ndarray, shape: float, rate: float) -> np.ndarray:
-    """Gamma(shape, rate) density with the correct x = 0 limits."""
-    out = np.zeros_like(x)
-    pos = (x > 0.0) & (x < math.inf)   # x = inf is a power that overflowed
-    if np.any(pos):
-        xp = x[pos]
-        out[pos] = np.exp(
-            shape * math.log(rate) + (shape - 1.0) * np.log(xp) - rate * xp - math.lgamma(shape)
-        )
-    zero = x == 0.0
-    if np.any(zero):
-        if shape < 1.0:
-            out[zero] = np.inf
-        elif shape == 1.0:
-            out[zero] = rate
-        # shape > 1 leaves 0
-    return out
+    """Gamma(shape, rate) density, 0 at x = inf (a pld power that overflowed).
+
+    ``special.xlogy`` is 0 at (0, 0), so the log-space form takes the x = 0
+    limit itself: inf for shape < 1, the rate for shape = 1, 0 for shape > 1.
+    At x = inf the exponent is inf - inf for shape > 1, which the caller's
+    ``invalid`` errstate lets through as NaN before it is set to 0.
+    """
+    out = np.exp(shape * math.log(rate) + special.xlogy(shape - 1.0, x) - rate * x - math.lgamma(shape))
+    return np.where(x < math.inf, out, 0.0)
 
 
 def _pdf_mixture(mix, x, *params):
     w1, w2, s1, s2, rate = mix(*params)
     # only a gld/ngld component (shape < 1) is inf at x = 0, and its weight is
-    # positive in exact arithmetic: one that underflowed to 0 still gives inf
+    # positive in exact arithmetic: one that underflowed to 0 still gives inf;
+    # only the invalid flag is ignored, so an overflow in exp still warns
     with np.errstate(invalid="ignore"):
         out = w1 * _gamma_pdf_arr(x, s1, rate) + w2 * _gamma_pdf_arr(x, s2, rate)
     return np.where(np.isnan(out), np.inf, out)
@@ -289,8 +282,8 @@ def _mixture_sum(reg_gamma, mix, x, *params):
     return np.clip(out / (w1 + w2), 0.0, 1.0) if w1 >= 0.0 and w2 >= 0.0 else out
 
 
-_cdf_mixture = functools.partial(_mixture_sum, specfun.reg_gamma_p_arr)
-_sf_mixture = functools.partial(_mixture_sum, specfun.reg_gamma_q_arr)
+_cdf_mixture = functools.partial(_mixture_sum, special.gammainc)
+_sf_mixture = functools.partial(_mixture_sum, special.gammaincc)
 
 
 def _raw_moment_mixture(mix, r, *params):
@@ -426,10 +419,11 @@ def _nwl_masses(b, c):
     (1+x) e^{-cx} (1 - e^{-cbx}) = int_c^{c2} (x + x^2) e^{-rx} dr with c2 = c(1+b), so nwl
     is Gamma(2 or 3, rate r) with r mixed over [c, c2]: shape 2 carries r-density r^-2
     and mass 1/c - 1/c2, shape 3 carries 2 r^-3 and mass 1/c^2 - 1/c2^2, here written
-    without that cancellation.
+    without that cancellation.  b / (1 + b) and 1 / (1 + b) lie in [0, 1], so no
+    step leaves the doubles where the masses are doubles, as c (1 + b) would.
     """
-    m2 = b / (c * (1.0 + b))
-    return m2, m2 * (2.0 + b) / (c * (1.0 + b))
+    m2 = b / (1.0 + b) / c
+    return m2, m2 * (1.0 + 1.0 / (1.0 + b)) / c
 
 
 # --------------------------------------------------------------------------
@@ -497,7 +491,7 @@ def _sf_nwl(x, b, c):
     # the rate map's tail h(c) - h(c2), h(r) = e^{-rx} (1 + r + rx) / r^2, as
     # h(c) (1 - e^L) with L = log(h(c2) / h(c)); every term of L is <= 0
     u = 1.0 + c + c * x
-    log_ratio = -c * b * x - math.log1p(b) + np.log1p(-b / ((1.0 + b) * u))
+    log_ratio = -c * b * x - math.log1p(b) + np.log1p(-(b / (1.0 + b)) / u)
     return np.exp(-c * x) * u / (c * c) * -np.expm1(log_ratio) / sum(_nwl_masses(b, c))
 
 

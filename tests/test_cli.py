@@ -217,6 +217,14 @@ class TestFit:
         assert code == 2
         assert err == "error: column index must be >= 0, got -1\n" and stdout == ""
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [({"inputs": []}, "at least one --input"), ({"inputs": ["a.csv"], "fmt": "xml"}, "--format must be")],
+    )
+    def test_run_config_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            cli.RunConfig(**kwargs)
+
     def test_bins_must_exceed_parameter_count(self, synth_csv, capsys):
         code, _, err = run(capsys, "fit", "--input", str(synth_csv), "--bins", "3")
         assert code == 2
@@ -308,28 +316,68 @@ class TestPlotdata:
         assert code == 2
 
 
-class TestScripts:
-    """The two scripts the README documents, in a fresh interpreter where every warning is an error."""
+def run_fresh(*args):
+    """``python -W error *args`` in a fresh interpreter; it must print one table row per family."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", *args], capture_output=True, text=True, env=checkout_env(),
+    )
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    # one table row per family, named in its first column
+    rows = Counter(line.split()[0] for line in proc.stdout.splitlines() if line.strip())
+    assert all(rows[f.value] == 1 for f in lf.Family), proc.stdout
 
-    @staticmethod
-    def run_script(name, *args):
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", str(SCRIPTS / name), *args],
-            capture_output=True, text=True, env=checkout_env(),
-        )
-        assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
-        # one table row per family, named in its first column
-        rows = Counter(line.split()[0] for line in proc.stdout.splitlines() if line.strip())
-        assert all(rows[f.value] == 1 for f in lf.Family), proc.stdout
 
-    def test_fit_catalogs(self, synth_csv, tmp_path):
+class TestInputDirectory:
+    """``--input DIR`` stands for the ``*.csv`` files in DIR, in sorted order."""
+
+    def test_fit_directory_in_a_fresh_interpreter(self, synth_csv, tmp_path):
+        # the README's batch command, where every warning is an error
         out = tmp_path / "reports"
-        self.run_script("fit_catalogs.py", str(synth_csv.parent), "--out", str(out))
+        run_fresh("-m", "lindleyfit.cli", "fit", "--input", str(synth_csv.parent), "--out", str(out))
         fits = json.loads((out / "synth_fits.json").read_text())["fits"]
         assert sorted(f["family"] for f in fits) == sorted(f.value for f in lf.Family)
 
+    @pytest.fixture()
+    def catalog_dir(self, synth_csv, tmp_path):
+        folder = tmp_path / "catalogs"
+        folder.mkdir()
+        for name in ("b.csv", "a.csv"):
+            (folder / name).write_text(synth_csv.read_text())
+        (folder / "notes.txt").write_text("not a catalog\n")
+        return folder
+
+    def test_fit_takes_each_csv_in_sorted_order(self, catalog_dir, synth_csv, capsys):
+        code, stdout, err = run(capsys, "fit", "--input", str(catalog_dir), "--input", str(synth_csv),
+                                "--families", "lindley1")
+        assert code == 0 and err == ""
+        tables = [t.split(":")[0] for t in stdout.split("\n\n") if t]
+        assert tables == ["catalog a", "catalog b", "catalog synth"], stdout
+
+    def test_plotdata_takes_each_csv(self, catalog_dir, tmp_path, capsys):
+        out = tmp_path / "plot"
+        code, _, _ = run(capsys, "plotdata", "--input", str(catalog_dir), "--family", "lindley1",
+                         "--out", str(out))
+        assert code == 0
+        assert sorted(p.name for p in out.glob("*_pdf.csv")) == ["a_lindley1_pdf.csv", "b_lindley1_pdf.csv"]
+
+    @pytest.mark.parametrize("command", ["fit", "plotdata"])
+    def test_directory_without_csv_is_config_error(self, command, synth_csv, tmp_path, capsys):
+        # the other inputs are still read
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code, stdout, err = run(capsys, command, "--input", str(empty), "--input", str(synth_csv),
+                                "--family" if command == "plotdata" else "--families", "lindley1",
+                                "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err == f"error: no *.csv catalogs in directory {empty}\n"
+        assert "synth" in stdout
+
+
+class TestScripts:
+    """The script the README documents, in a fresh interpreter where every warning is an error."""
+
     def test_synth_roundtrip(self):
-        self.run_script("synth_roundtrip.py", "--n", "500", "--seed", "3")
+        run_fresh(str(SCRIPTS / "synth_roundtrip.py"), "--n", "500", "--seed", "3")
 
 
 def test_readme_quick_tour():

@@ -45,6 +45,10 @@ class TestSpecValidation:
         spec = lf.tpld(-0.099, 4.2)
         assert spec.params == (-0.099, 4.2)
 
+    def test_non_numeric_parameter(self):
+        with pytest.raises(ParameterError, match="must be real numbers"):
+            lf.DistributionSpec(Family.NWL, (1.0, "two"))
+
     def test_arity_and_finiteness(self):
         with pytest.raises(ParameterError):
             lf.DistributionSpec(Family.GLD, (1.0, 2.0))
@@ -149,6 +153,16 @@ class TestCdf:
             spec = random_spec(fam, rng, nonneg=True)
             for x in interior_grid(spec, n=7):
                 assert lf.sf(spec, x) + lf.cdf(spec, x) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_nwl_at_huge_b(self):
+        # c (1 + b) leaves the doubles: the masses written over it were 0, so the
+        # pdf and cdf divided by zero, and the sf's (1 + b) u overflowed
+        spec = lf.nwl(1e300, 1e10)
+        xs = np.array([5e-11, 1e-10, 3e-10])
+        dens, f, s = lf.pdf(spec, xs), lf.cdf(spec, xs), lf.sf(spec, xs)
+        assert np.all(np.isfinite(dens)) and np.all(np.isfinite(f)) and np.all(np.isfinite(s))
+        np.testing.assert_allclose(f + s, 1.0, rtol=0.0, atol=1e-12)
 
 
 # Every family, with the cases where an edge is easy to get wrong: a signed
@@ -625,6 +639,11 @@ class TestMode:
         assert res.at_boundary
         assert res.value == 0.0
 
+    @pytest.mark.parametrize("spec", [lf.pld(1.0, 0.5), lf.gld(0.5, 1.0, 1.0)], ids=str)
+    def test_negative_discriminant_is_the_boundary(self, spec):
+        # the stationary-point quadratics have discriminants -0.75 and -1 here
+        assert lf.mode(spec) == lf.ModeResult(0.0, True)
+
     def test_pld_known_point(self):
         res = lf.mode(lf.pld(2.66, 2.28))
         assert res.value == pytest.approx(0.5873118387324849, rel=1e-12)
@@ -776,7 +795,7 @@ class TestSampling:
             ]),
             (lf.nwl(1.57, 3.77), [
                 0.3405589694537106, 0.10432944454490259, 0.45545490913133435, 0.23311169177654714,
-                0.22466396800617996, 0.7665914854721146, 0.31245858949584315, 0.9491268905825927,
+                0.22466396800617996, 0.7665914854721148, 0.31245858949584326, 0.9491268905825927,
             ]),
             (lf.nwl(1e-9, 2.0), [
                 0.6595568703738134, 0.27312130102584553, 0.9097843285312929, 0.8757670271194069,

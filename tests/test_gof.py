@@ -57,6 +57,19 @@ class TestBinning:
         with pytest.raises(DomainError):
             gof.bin_sample(np.array([1.0, 2.0]), 1)
 
+    @pytest.mark.parametrize(
+        "edges,counts,message",
+        [
+            ([0.0, 1.0], [1, 2], "one more entry"),
+            ([[0.0, 1.0, 2.0]], [1, 2], "one more entry"),
+            ([0.0, 1.0, 1.0], [1, 2], "strictly increasing"),
+            ([0.0, 1.0, 2.0], [1, -2], "nonnegative"),
+        ],
+    )
+    def test_histogram_validation(self, edges, counts, message):
+        with pytest.raises(DomainError, match=message):
+            gof.BinnedHistogram(edges=np.array(edges), counts=np.array(counts))
+
 
 class TestTheoreticalFrequencies:
     def test_matches_cdf_differences_on_narrow_bins(self):
@@ -159,6 +172,12 @@ class TestAic:
     def test_published_row(self):
         # 2k + chi2 at k = 2, chi2 = 33.48; the table prints 37.6 after rounding
         assert gof.aic(33.48, 2) == pytest.approx(37.48)
+
+    def test_domain(self):
+        with pytest.raises(DomainError, match="chi2 must be finite and >= 0"):
+            gof.aic(-1.0, 2)
+        with pytest.raises(DomainError, match="k must be a positive integer"):
+            gof.aic(1.0, 0)
 
     @given(
         chi2=st.floats(min_value=0.0, max_value=1e6),

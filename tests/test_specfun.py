@@ -56,19 +56,6 @@ class TestUpperIncompleteGamma:
         assert 0.0 <= q <= 1.0
         assert special.gammainc(a, z) == pytest.approx(1.0 - q, abs=1e-12)
 
-    def test_array_matches_scalar(self):
-        z = np.array([0.0, 0.3, 1.0, 2.49, 2.5, 7.0, 40.0, 300.0])
-        for a in (0.4, 1.0, 2.5, 9.0):
-            arr = specfun.reg_gamma_p_arr(a, z)
-            ref = special.gammainc(a, z)
-            np.testing.assert_allclose(arr, ref, rtol=1e-13, atol=1e-15)
-            arr_q = specfun.reg_gamma_q_arr(a, z)
-            np.testing.assert_allclose(arr_q, 1.0 - ref, rtol=1e-12, atol=1e-14)
-
-    def test_array_domain(self):
-        with pytest.raises(DomainError):
-            specfun.reg_gamma_p_arr(2.0, np.array([1.0, -0.5]))
-
 
 class TestWhittakerM:
     # the test oracle reference_forms._whit; these cases pin its argument order
@@ -91,15 +78,18 @@ class TestWhittakerM:
 
 class TestAgainstMpmath:
     A = (0.3, 1.0, 2.0, 2.5, 9.0, 50.0)
-    Z = np.concatenate([np.geomspace(1e-3, 700.0, 80), [1e300, math.inf]])
+    Z = np.concatenate([np.geomspace(1e-3, 700.0, 80), [1e300]])
 
     @pytest.mark.parametrize("a", A)
     def test_incomplete_gamma(self, a):
+        # ngld(a, a, 1) mixes two equal Gamma(a, 1) halves, so its cdf and sf
+        # are the mixture forms' P(a, x) and Q(a, x) themselves
         with mpmath.workdps(40):
             p_ref = np.array([float(mpmath.gammainc(a, 0, z, regularized=True)) for z in self.Z])
             q_ref = np.array([float(mpmath.gammainc(a, z, regularized=True)) for z in self.Z])
-        p = specfun.reg_gamma_p_arr(a, self.Z)
-        q = specfun.reg_gamma_q_arr(a, self.Z)
+        spec = lf.ngld(a, a, 1.0)
+        p = lf.cdf(spec, self.Z)
+        q = lf.sf(spec, self.Z)
         np.testing.assert_allclose(p, p_ref, rtol=1e-12, atol=0.0)
         live = q_ref > 1e-300
         np.testing.assert_allclose(q[live], q_ref[live], rtol=1e-12, atol=0.0)
